@@ -179,22 +179,22 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12,
     if profile is None:
         profile = analyze(spec.symbol)
     tree, lam = spec.tree, spec.weight.values
+    counts = profile.preimage_count
 
     def _with_witness(reason, collision=None, missed=None, ratio_v=None, witness_at=None):
         wfun = basis_vector(spec.weight, witness_at, spec.p) if witness_at is not None else None
         wnorm = norm_p(apply(spec, wfun), spec.weight, spec.p) if wfun is not None else None
-        misses = [u for u in range(len(tree)) if not profile.preimage_index[u]]
-        frontier_only = bool(misses) and all(
-            int(tree.depth[u]) == tree.truncation_depth for u in misses)
+        missed_depths = tree.depth[counts == 0]
+        frontier_only = bool(missed_depths.size and missed_depths.min() == tree.truncation_depth)
         return IsometryVerdict(False, reason, collision, missed, ratio_v,
                                wfun, wnorm, frontier_only)
 
     if not profile.injective:
-        shared = next(u for u, pre in profile.preimage_index.items() if len(pre) > 1)
-        pre = profile.preimage_index[shared]
-        return _with_witness("not_injective", collision=(pre[0], pre[1]), witness_at=shared)
+        shared = int(np.flatnonzero(counts > 1)[0])
+        pair = tuple(np.flatnonzero(spec.symbol.image == shared)[:2].tolist())
+        return _with_witness("not_injective", collision=pair, witness_at=shared)
     if not profile.surjective_on_truncation:
-        missed = next(u for u in range(len(tree)) if not profile.preimage_index[u])
+        missed = int(np.flatnonzero(counts == 0)[0])
         return _with_witness("not_surjective", missed=missed, witness_at=missed)
 
     dom = spec.symbol.domain

@@ -12,17 +12,11 @@ import numpy as np
 from .compop import OperatorSpec
 from .lpspace import norm_p
 from .selfmap import SelfMap, depth_square_map, identity_map, level_shift_map, parent_map
-from .tree import Tree, build_bary
+from .tree import Tree, bary_vertex_count, build_bary
 from .weight import (Weight, constant_weight, custom_weight, geometric_weight,
                      reciprocal_depth_weight)
 
 _P_CHOICES = (1.0, 1.5, 2.0, 3.0)
-
-
-def bary_vertex_count(branching: int, depth: int) -> int:
-    if branching == 1:
-        return depth + 1
-    return (branching ** (depth + 1) - 1) // (branching - 1)
 
 
 def random_bary_tree(rng: np.random.Generator, max_branching: int = 3,
@@ -31,7 +25,8 @@ def random_bary_tree(rng: np.random.Generator, max_branching: int = 3,
     combos = [(b, d)
               for b in range(1, max_branching + 1)
               for d in range(2, max_depth + 1)
-              if min_vertices <= bary_vertex_count(b, d) <= max_vertices]
+              if (count := bary_vertex_count(b, d, max_vertices=max_vertices)) is not None
+              and count >= min_vertices]
     if not combos:
         raise ValueError(f"no b-ary tree fits [{min_vertices}, {max_vertices}] vertices")
     b, d = combos[int(rng.integers(len(combos)))]

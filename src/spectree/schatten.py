@@ -15,7 +15,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .compop import OperatorSpec, preimage_ratio
-from .selfmap import analyze
 
 TREND_CONVERGING = "converging"
 TREND_DIVERGING = "diverging"
@@ -103,9 +102,6 @@ def spectral_report(spec: OperatorSpec, exponents: Sequence[float] = (1.0, 2.0))
     _require_hilbert(spec)
     sums = {float(q): schatten_sum(spec, q) for q in exponents}
     trace = trace_diagonal(spec)
-    count = len(analyze(spec.symbol).fixed_points)
-    if count != trace.fixed_point_count:
-        raise AssertionError("fixed-point enumeration disagrees with the map profile")
     return SpectralReport(
         singular_values=singular_values_analytic(spec),
         schatten_sums=sums,

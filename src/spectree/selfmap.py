@@ -56,35 +56,37 @@ class SelfMap:
         return self._domain.size == len(self.tree)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MapProfile:
-    """Structural facts about a symbol, by full enumeration."""
+    """Structural facts about a symbol, by full enumeration.
+
+    ``preimage_count[u]`` is the number of domain vertices the symbol sends
+    to ``u``; ``fixed_points`` holds the vertices with ``symbol(v) == v``,
+    ascending. Both arrays are read-only.
+    """
 
     injective: bool
     max_multiplicity: int
     surjective_on_truncation: bool
-    fixed_points: tuple[int, ...]
-    preimage_index: Mapping[int, tuple[int, ...]]
+    fixed_points: np.ndarray
+    preimage_count: np.ndarray
     domain_size: int
 
 
 def analyze(symbol: SelfMap) -> MapProfile:
-    n = len(symbol.tree)
     dom = symbol.domain
     img = symbol.image[dom]
-    counts = np.bincount(img, minlength=n)
-    order = np.argsort(img, kind="stable")
-    sorted_img = img[order]
-    cuts = np.searchsorted(sorted_img, np.arange(n + 1))
-    preimage = {u: tuple(int(x) for x in dom[order[cuts[u]:cuts[u + 1]]])
-                for u in range(n)}
-    max_mult = int(counts.max()) if n else 0
+    counts = np.bincount(img, minlength=len(symbol.tree))
+    fixed = dom[img == dom]
+    counts.setflags(write=False)
+    fixed.setflags(write=False)
+    max_mult = int(counts.max())
     return MapProfile(
         injective=max_mult <= 1,
         max_multiplicity=max_mult,
         surjective_on_truncation=bool((counts > 0).all()),
-        fixed_points=tuple(int(v) for v in dom[img == dom]),
-        preimage_index=preimage,
+        fixed_points=fixed,
+        preimage_count=counts,
         domain_size=int(dom.size),
     )
 
@@ -205,12 +207,9 @@ def _pair_greedily(lam: np.ndarray, source_order: np.ndarray,
             continue
         while ti < n and (used[target_order[ti]] or int(target_order[ti]) == s):
             ti += 1
-        j = ti
-        while j < n and (used[target_order[j]] or int(target_order[j]) == s):
-            j += 1
-        if j >= n:
+        if ti >= n:
             break
-        t = int(target_order[j])
+        t = int(target_order[ti])
         if not admissible(lam[s], lam[t]):
             # orders are monotone in weight, so no later source can do better
             break
@@ -262,28 +261,9 @@ def adversary_vanishing(tree: Tree, weight: Weight) -> SelfMap | None:
     ids = np.arange(len(tree))
     target_order = np.lexsort((ids, lam))
     source_order = np.lexsort((ids, -lam))
-
-    n = lam.shape[0]
-    used = np.zeros(n, dtype=bool)
-    pairs: list[tuple[int, int]] = []
-    si = 0
-    for t in target_order:
-        t = int(t)
-        if used[t]:
-            continue
-        while si < n and (used[source_order[si]] or int(source_order[si]) == t):
-            si += 1
-        j = si
-        while j < n and (used[source_order[j]] or int(source_order[j]) == t):
-            j += 1
-        if j >= n:
-            break
-        s = int(source_order[j])
-        if not (lam[t] < lam[s] * lam[s] and lam[t] < lam[s]):
-            break
-        used[s] = True
-        used[t] = True
-        pairs.append((s, t))
+    # the roles swap: light targets claim heavy sources; _swap_map is symmetric
+    pairs = _pair_greedily(lam, target_order, source_order,
+                           lambda lt, ls: lt < ls * ls and lt < ls)
     if not pairs:
         return None
     return _swap_map(tree, pairs, "adversary_vanishing")

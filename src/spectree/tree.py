@@ -19,8 +19,8 @@ from .errors import DocumentError
 
 VertexId = int
 
-# children lists are plain python objects; beyond this the tree alone costs
-# multiple GB, so deep truncations must taper (see build_bary's branch_until)
+# bounds what one generated tree may allocate, so a document cannot ask for
+# unbounded memory; deep truncations must taper (see build_bary's branch_until)
 _MAX_GENERATED_VERTICES = 5_000_000
 
 
@@ -31,35 +31,28 @@ class Tree:
     Attributes
     ----------
     parent:
-        ``parent[v]`` is the parent id of ``v``, ``-1`` for the root.
+        ``parent[v]`` is the parent id of ``v``, ``-1`` for the root. Sibling
+        order is id order, and it defines the lexicographic root-path order.
     depth:
         Edge distance to the root; ``depth[0] == 0``.
-    children:
-        Per-vertex child ids in sibling order (construction or document
-        order). Sibling order defines the lexicographic root-path order.
     truncation_depth:
         Depth ``D`` of the stored frontier.
     names:
         Original document ids, or ``None`` for generated trees.
     terminal_gaps:
-        Vertices shallower than ``D`` with no children. They violate the
-        terminal-free model and can only come from ad hoc documents; they
-        are accepted but marked.
-    preorder_rank:
-        Position of each vertex in the depth-first traversal that follows
-        sibling order. Sorting a level by this rank yields the canonical
-        lexicographic order.
+        Vertices shallower than ``D`` with no children, ascending. They
+        violate the terminal-free model and can only come from ad hoc
+        documents; they are accepted but marked.
     levels:
-        ``levels[n]`` holds the vertices at depth ``n`` in canonical order.
+        ``levels[n]`` holds the vertices at depth ``n`` in canonical order:
+        the children of each vertex of ``levels[n - 1]`` in turn.
     """
 
     parent: np.ndarray
     depth: np.ndarray
-    children: tuple[tuple[VertexId, ...], ...]
     truncation_depth: int
     names: tuple[str, ...] | None
     terminal_gaps: tuple[VertexId, ...]
-    preorder_rank: np.ndarray
     levels: tuple[np.ndarray, ...]
 
     @property
@@ -92,52 +85,65 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
         bad = 1 + int(np.flatnonzero((parent[1:] < 0) | (parent[1:] >= n))[0])
         raise ValueError(f"vertex {bad} has parent id outside the vertex set")
 
-    children_lists: list[list[int]] = [[] for _ in range(n)]
-    for v in range(1, n):
-        children_lists[int(parent[v])].append(v)
+    # vertices grouped by parent, siblings in id order: the root (parent -1)
+    # comes first, then the children of v at kids[first[v]:first[v + 1]]
+    kids = np.argsort(parent, kind="stable")
+    kids.setflags(write=False)
+    n_kids = np.bincount(parent[1:], minlength=n)
+    first = np.concatenate(([1], 1 + np.cumsum(n_kids)))
 
-    # BFS from the root; a vertex left unreached sits on a parent cycle
+    # level n + 1 is the children of level n in level order, which is the
+    # canonical order; a vertex never reached sits on a parent cycle
     depth = np.full(n, -1, dtype=np.int64)
-    depth[0] = 0
-    queue = [0]
-    for v in queue:
-        dv = depth[v] + 1
-        for c in children_lists[v]:
-            depth[c] = dv
-            queue.append(c)
+    frontier = kids[:1]
+    levels = []
+    while frontier.size:
+        depth[frontier] = len(levels)
+        levels.append(frontier)
+        if frontier.size == 1:
+            v = frontier[0]
+            frontier = kids[first[v]:first[v + 1]]
+            continue
+        counts = n_kids[frontier]
+        shift = np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
+        frontier = kids[shift + np.arange(shift.size)]
+        frontier.setflags(write=False)
     if (depth < 0).any():
         v = int(np.flatnonzero(depth < 0)[0])
         name = names[v] if names is not None else str(v)
         raise DocumentError(f"cycle detected: vertex '{name}' is not reachable from the root")
 
-    d_max = int(depth.max())
+    d_max = len(levels) - 1
     if truncation_depth is None:
         truncation_depth = d_max
     elif truncation_depth < d_max:
         raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
+    levels.extend([kids[:0]] * (truncation_depth - d_max))
 
-    rank = np.empty(n, dtype=np.int64)
-    stack = [0]
-    r = 0
-    while stack:
-        v = stack.pop()
-        rank[v] = r
-        r += 1
-        stack.extend(reversed(children_lists[v]))
+    gaps = np.flatnonzero((n_kids == 0) & (depth < truncation_depth))
+    parent.setflags(write=False)
+    depth.setflags(write=False)
+    return Tree(parent=parent, depth=depth, truncation_depth=int(truncation_depth),
+                names=names, terminal_gaps=tuple(gaps.tolist()), levels=tuple(levels))
 
-    order = np.lexsort((rank, depth))
-    cuts = np.searchsorted(depth[order], np.arange(truncation_depth + 2))
-    levels = tuple(order[cuts[k]:cuts[k + 1]] for k in range(truncation_depth + 1))
 
-    gaps = tuple(v for v in range(n)
-                 if depth[v] < truncation_depth and not children_lists[v])
-
-    for arr in (parent, depth, rank, *levels):
-        arr.setflags(write=False)
-    return Tree(parent=parent, depth=depth,
-                children=tuple(tuple(c) for c in children_lists),
-                truncation_depth=int(truncation_depth), names=names,
-                terminal_gaps=gaps, preorder_rank=rank, levels=levels)
+def bary_vertex_count(branching: int, depth: int, branch_until: int | None = None,
+                      max_vertices: int = _MAX_GENERATED_VERTICES) -> int | None:
+    """Vertex count of ``build_bary(branching, depth, branch_until)``, or
+    ``None`` when it exceeds ``max_vertices``. No intermediate value exceeds
+    ``max_vertices``, so absurd sizes are refused in a few steps."""
+    # a unary tree is one chain from the root, whatever branch_until says
+    bu = 0 if branching == 1 else depth if branch_until is None else min(branch_until, depth)
+    total = width = 1
+    for _ in range(bu):
+        if width > (max_vertices - total) // branching:
+            return None
+        width *= branching
+        total += width
+    # levels bu + 1 .. depth are single-child chains as wide as level bu
+    if depth - bu > (max_vertices - total) // width:
+        return None
+    return total + (depth - bu) * width
 
 
 def build_bary(branching: int, depth: int, branch_until: int | None = None,
@@ -156,28 +162,22 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None,
         raise ValueError("branching must be >= 1; branching 0 would make the root terminal")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if branch_until is None:
-        bu = depth
-    else:
-        bu = int(branch_until)
-        if bu < 0:
-            raise ValueError("branch_until must be >= 0")
-        bu = min(bu, depth)
+    bu = depth if branch_until is None else min(int(branch_until), depth)
+    if bu < 0:
+        raise ValueError("branch_until must be >= 0")
 
-    widths = [branching ** min(k, bu) for k in range(depth + 1)]  # exact ints
-    total = sum(widths)
-    if total > max_vertices:
+    n = bary_vertex_count(branching, depth, bu, max_vertices)
+    if n is None:
         raise ValueError(
-            f"refusing to materialize {total} vertices (limit {max_vertices}); "
+            f"refusing to materialize more than {max_vertices} vertices; "
             "taper deep truncations with branch_until")
 
-    parts = [np.array([-1], dtype=np.int64)]
-    off = 0
-    for k in range(1, depth + 1):
-        idx = np.arange(widths[k], dtype=np.int64)
-        parts.append(off + (idx // branching if k <= bu else idx))
-        off += widths[k - 1]
-    return _assemble(np.concatenate(parts), names=None, truncation_depth=depth)
+    # ids run in level order: in the complete b-ary part v hangs below
+    # (v - 1) // b, and below depth bu each chain vertex one level width back
+    width = branching ** bu
+    v = np.arange(n, dtype=np.int64)
+    parent = np.where(v < n - (depth - bu) * width, (v - 1) // branching, v - width)
+    return _assemble(parent, names=None, truncation_depth=depth)
 
 
 def load_tree(document: Mapping) -> Tree:
@@ -217,19 +217,17 @@ def load_tree(document: Mapping) -> Tree:
         raise DocumentError(f"multiple roots: '{ids[roots[0]]}' and '{ids[roots[1]]}'")
     root = roots[0]
 
-    order = [root] + [i for i in range(len(ids)) if i != root]
-    pos = {orig: new for new, orig in enumerate(order)}
-    names = tuple(ids[i] for i in order)
-    parent_arr = np.empty(len(order), dtype=np.int64)
+    for vid, par in zip(ids, parents):
+        if par is not None and par not in seen:
+            raise DocumentError(f"vertex '{vid}' references unknown parent '{par}'")
+
+    # ids keep document order with the root moved to the front; the root's
+    # null parent stands in as the root itself until it is set to -1
+    order = np.concatenate(([root], np.delete(np.arange(len(ids)), root)))
+    new_id = np.argsort(order)
+    parent_arr = new_id[[seen.get(par, root) for par in parents]][order]
     parent_arr[0] = -1
-    for orig, new in pos.items():
-        if orig == root:
-            continue
-        par = parents[orig]
-        if par not in seen:
-            raise DocumentError(f"vertex '{ids[orig]}' references unknown parent '{par}'")
-        parent_arr[new] = pos[seen[par]]
-    return _assemble(parent_arr, names=names)
+    return _assemble(parent_arr, names=tuple(ids[i] for i in order.tolist()))
 
 
 def dump_tree(tree: Tree) -> dict:

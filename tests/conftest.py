@@ -1,3 +1,9 @@
+from hypothesis import settings
+
+# every run draws the same examples, so a test result never depends on the draw
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
+
 _ACCEPTANCE_RESULTS: dict[str, str] = {}
 
 

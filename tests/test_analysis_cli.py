@@ -202,6 +202,12 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     assert "FAIL" in out
 
 
+def test_analyze_refuses_an_oversized_generated_tree(tmp_path, capsys):
+    spec = write_spec(tmp_path, base_doc(depth_ladder=[100000]))
+    assert main(["analyze", spec]) == 2
+    assert "refusing to materialize more than 5000000 vertices" in capsys.readouterr().err
+
+
 def test_verify_cli_runs_single_suite(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "adversary", "--seed", "3", "--out", str(out)]) == 0

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spectree import (DocumentError, SelfMap, adversary_unbounded,
+from spectree import (DocumentError, OperatorSpec, SelfMap, adversary_unbounded,
                       adversary_vanishing, analyze, build_bary, constant_weight,
                       custom_weight, depth_square_map, dump_map, geometric_weight,
-                      identity_map, level_shift_map, load_map, load_tree,
-                      parent_map, reciprocal_depth_weight, vertices_at_level)
+                      identity_map, isometry_check, level_shift_map, load_map,
+                      load_tree, parent_map, reciprocal_depth_weight,
+                      vertices_at_level)
 
 
 def ratios(tree, weight, symbol):
@@ -18,7 +21,7 @@ def test_identity_profile():
     prof = analyze(identity_map(t))
     assert prof.injective and prof.surjective_on_truncation
     assert prof.max_multiplicity == 1
-    assert prof.fixed_points == tuple(range(7))
+    assert list(prof.fixed_points) == list(range(7))
     assert prof.domain_size == 7
 
 
@@ -27,19 +30,25 @@ def test_parent_map_profile_on_binary_tree():
     prof = analyze(parent_map(t))
     assert not prof.injective
     assert prof.max_multiplicity == 3
-    assert prof.preimage_index[0] == (0, 1, 2)
-    assert prof.fixed_points == (0,)
+    m = parent_map(t)
+    assert list(np.flatnonzero(m.image == 0)) == [0, 1, 2]
+    assert list(prof.preimage_count) == [3, 2, 2, 0, 0, 0, 0]
+    assert list(prof.fixed_points) == [0]
     assert not prof.surjective_on_truncation
-    assert sum(len(v) for v in prof.preimage_index.values()) == len(t)
+    assert prof.preimage_count.sum() == len(t)
 
 
-def test_preimage_index_partitions_the_domain():
+def test_preimage_counts_partition_the_domain():
     t = build_bary(3, 3)
     rng = np.random.default_rng(11)
-    m = SelfMap(t, rng.integers(0, len(t), len(t)))
-    prof = analyze(m)
-    seen = sorted(v for pre in prof.preimage_index.values() for v in pre)
-    assert seen == list(range(len(t)))
+    image = rng.integers(-1, len(t), len(t))
+    prof = analyze(SelfMap(t, image))
+    # every domain vertex lies in exactly one preimage
+    assert prof.preimage_count.sum() == prof.domain_size == np.count_nonzero(image >= 0)
+    for u in range(len(t)):
+        assert prof.preimage_count[u] == np.count_nonzero(image == u)
+    with pytest.raises(ValueError):
+        prof.preimage_count[0] = 0
 
 
 def test_depth_square_map_structure():
@@ -91,7 +100,7 @@ def test_level_shift_examples():
     assert int(t.depth[m.image[v5]]) == 3
     assert int(m.image[0]) == 0  # clamped at the root
     assert int(m.image[1]) == 0
-    assert analyze(level_shift_map(t, 0)).fixed_points == tuple(range(6))
+    assert list(analyze(level_shift_map(t, 0)).fixed_points) == list(range(6))
     with pytest.raises(ValueError):
         level_shift_map(t, -1)
 
@@ -187,3 +196,42 @@ def test_adversaries_beat_the_identity_ratio():
             prof = analyze(m)
             assert prof.injective
             assert ratios(t, w, m).max() > 1.0
+
+
+def reference_preimage_index(symbol):
+    """Dict of per-vertex preimage tuples, each ascending."""
+    n = len(symbol.tree)
+    dom = symbol.domain
+    img = symbol.image[dom]
+    order = np.argsort(img, kind="stable")
+    cuts = np.searchsorted(img[order], np.arange(n + 1))
+    return {u: tuple(int(x) for x in dom[order[cuts[u]:cuts[u + 1]]]) for u in range(n)}
+
+
+@given(st.sampled_from([(1, 0), (1, 3), (2, 2), (2, 4), (3, 3)]), st.data())
+def test_profile_and_isometry_witnesses_match_the_dict_reference(shape, data):
+    t = build_bary(*shape)
+    n = len(t)
+    image = data.draw(st.lists(st.integers(-1, n - 1), min_size=n, max_size=n))
+    symbol = SelfMap(t, image)
+    prof = analyze(symbol)
+    index = reference_preimage_index(symbol)
+
+    assert list(prof.preimage_count) == [len(index[u]) for u in range(n)]
+    assert list(prof.fixed_points) == [v for v in range(n) if v in index[v]]
+    assert prof.injective == all(len(pre) <= 1 for pre in index.values())
+    assert prof.surjective_on_truncation == all(index.values())
+
+    verdict = isometry_check(OperatorSpec(t, constant_weight(t, 1.0), symbol, 2.0),
+                             profile=prof)
+    misses = [u for u in range(n) if not index[u]]
+    if not prof.injective:
+        shared = next(u for u, pre in index.items() if len(pre) > 1)
+        assert verdict.collision == index[shared][:2]
+    elif misses:
+        assert verdict.missed_vertex == misses[0]
+    else:
+        assert verdict.is_isometry
+    assert verdict.frontier_only_misses == (
+        not verdict.is_isometry and bool(misses)
+        and all(int(t.depth[u]) == t.truncation_depth for u in misses))

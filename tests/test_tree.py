@@ -1,12 +1,16 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectree import DocumentError, build_bary, distance, dump_tree, load_tree, truncate, vertices_at_level
-from spectree.tree import name_index
+from spectree.tree import _assemble, bary_vertex_count, name_index
 
 
 def degree(tree, v):
-    return len(tree.children[v]) + (1 if tree.parent[v] >= 0 else 0)
+    return int(np.count_nonzero(tree.parent == v)) + (1 if tree.parent[v] >= 0 else 0)
 
 
 def test_binary_depth_three_counts():
@@ -20,7 +24,7 @@ def test_unary_generator_is_a_path():
     t = build_bary(1, 5)
     assert len(t) == 6
     assert list(t.depth) == [0, 1, 2, 3, 4, 5]
-    assert all(len(c) == 1 for c in t.children[:-1])
+    assert list(t.parent) == [-1, 0, 1, 2, 3, 4]
 
 
 def test_ternary_depth_two_structure():
@@ -166,7 +170,7 @@ def test_serialization_round_trip_is_isomorphic():
         u = load_tree(dump_tree(t))
         assert np.array_equal(t.parent, u.parent)
         assert np.array_equal(t.depth, u.depth)
-        assert t.children == u.children
+        assert [list(lvl) for lvl in t.levels] == [list(lvl) for lvl in u.levels]
         assert u.truncation_depth == t.truncation_depth
 
 
@@ -210,3 +214,109 @@ def test_truncate_preserves_names():
 def test_generator_guards_against_huge_trees():
     with pytest.raises(ValueError, match="branch_until"):
         build_bary(2, 100)
+
+
+def test_oversized_generators_are_refused_before_allocating():
+    for b, d in ((2, 10 ** 5), (2, 10 ** 9), (1, 10 ** 9)):
+        began = time.perf_counter()
+        with pytest.raises(ValueError, match="more than 5000000 vertices"):
+            build_bary(b, d)
+        # the size check is arithmetic on at most ~23 levels, never a list
+        assert time.perf_counter() - began < 1.0
+    with pytest.raises(ValueError, match="more than 6 vertices"):
+        build_bary(2, 2, max_vertices=6)
+    assert len(build_bary(2, 2, max_vertices=7)) == 7
+
+
+def test_bary_vertex_count_matches_the_built_tree():
+    for b, d, bu in ((1, 7, None), (2, 5, None), (3, 4, 2), (2, 6, 0), (4, 3, 9)):
+        assert bary_vertex_count(b, d, bu) == len(build_bary(b, d, bu))
+    assert bary_vertex_count(2, 3, max_vertices=14) is None
+    assert bary_vertex_count(2, 3, max_vertices=15) == 15
+    assert bary_vertex_count(1, 10 ** 100) is None
+
+
+def reference_assemble(parent, truncation_depth=None):
+    """Pure-Python assembly: children lists, BFS depths, DFS preorder ranks
+    and a per-vertex gap scan. Returns (depth, levels, terminal_gaps)."""
+    parent = np.asarray(parent, dtype=np.int64)
+    n = int(parent.shape[0])
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[int(parent[v])].append(v)
+
+    depth = np.full(n, -1, dtype=np.int64)
+    depth[0] = 0
+    queue = [0]
+    for v in queue:
+        for c in children[v]:
+            depth[c] = depth[v] + 1
+            queue.append(c)
+    if (depth < 0).any():
+        v = int(np.flatnonzero(depth < 0)[0])
+        raise DocumentError(f"cycle detected: vertex '{v}' is not reachable from the root")
+
+    d_max = int(depth.max())
+    if truncation_depth is None:
+        truncation_depth = d_max
+    elif truncation_depth < d_max:
+        raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
+
+    rank = np.empty(n, dtype=np.int64)
+    stack = [0]
+    r = 0
+    while stack:
+        v = stack.pop()
+        rank[v] = r
+        r += 1
+        stack.extend(reversed(children[v]))
+    order = np.lexsort((rank, depth))
+    cuts = np.searchsorted(depth[order], np.arange(truncation_depth + 2))
+    levels = [order[cuts[k]:cuts[k + 1]] for k in range(truncation_depth + 1)]
+    gaps = tuple(v for v in range(n) if depth[v] < truncation_depth and not children[v])
+    return depth, levels, gaps
+
+
+@st.composite
+def parent_arrays(draw):
+    """Random trees with shuffled ids (the root stays 0): each vertex either
+    continues a single-child chain or hangs off a random earlier vertex, so
+    terminal gaps are common. With ``cycle`` one vertex is re-parented onto
+    its own subtree, which cuts that subtree off from the root."""
+    n = draw(st.integers(1, 40))
+    picks = draw(st.lists(st.integers(0, 2 ** 16), min_size=n - 1, max_size=n - 1))
+    parent = [-1] + [v - 1 if pick % 3 == 0 else pick % v
+                     for v, pick in enumerate(picks, start=1)]
+    if n > 1 and draw(st.booleans()):
+        v = draw(st.integers(1, n - 1))
+        subtree = [w for w in range(v, n) if w == v or _has_ancestor(parent, w, v)]
+        parent[v] = draw(st.sampled_from(subtree))
+    new_id = [0] + draw(st.permutations(range(1, n)))
+    relabeled = np.empty(n, dtype=np.int64)
+    for v in range(n):
+        relabeled[new_id[v]] = -1 if v == 0 else new_id[parent[v]]
+    truncation_depth = draw(st.none() | st.integers(0, n + 1))
+    return relabeled, truncation_depth
+
+
+def _has_ancestor(parent, w, v):
+    while w > v:
+        w = parent[w]
+    return w == v
+
+
+@given(parent_arrays())
+def test_assembly_matches_the_pure_python_reference(case):
+    parent, truncation_depth = case
+    try:
+        depth, levels, gaps = reference_assemble(parent, truncation_depth)
+    except (DocumentError, ValueError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            _assemble(parent, None, truncation_depth)
+        assert str(raised.value) == str(exc)
+        return
+    t = _assemble(parent, None, truncation_depth)
+    assert np.array_equal(t.depth, depth)
+    assert [list(lvl) for lvl in t.levels] == [list(lvl) for lvl in levels]
+    assert t.terminal_gaps == gaps
+    assert all(lvl.dtype == np.int64 and not lvl.flags.writeable for lvl in t.levels)
