@@ -24,8 +24,8 @@ from .errors import DocumentError
 from .schatten import SpectralReport, schatten_trend, spectral_report
 from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, analyze,
                       dump_map, load_map)
-from .tree import Tree, build_bary, dump_tree, load_tree, name_index, truncate
-from .weight import Weight, dump_weight, load_weight
+from .tree import Tree, build_bary, dump_tree, kept_vertices, load_tree, truncate
+from .weight import Weight, _validated, dump_weight, load_weight
 
 SCHEMA_VERSION = 1
 
@@ -129,22 +129,19 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     ladder = _require(document, "depth_ladder", Sequence, "analysis spec")
     if isinstance(ladder, (str, bytes)) or not ladder:
         raise DocumentError('analysis spec: "depth_ladder" must be a non-empty array')
-    depths = []
-    for d in ladder:
-        if not isinstance(d, int) or isinstance(d, bool) or d < 0:
-            raise DocumentError('analysis spec: depth ladder entries must be nonnegative integers')
-        depths.append(d)
+    depths = list(ladder)
+    if any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in depths):
+        raise DocumentError('analysis spec: depth ladder entries must be nonnegative integers')
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise DocumentError('analysis spec: "depth_ladder" must be strictly increasing')
 
     exponents = document.get("schatten_exponents", [1, 2])
     if isinstance(exponents, (str, bytes)) or not isinstance(exponents, Sequence) or not exponents:
         raise DocumentError('analysis spec: "schatten_exponents" must be a non-empty array')
-    qs = []
-    for q in exponents:
-        if not isinstance(q, (int, float)) or isinstance(q, bool) or not float(q) >= 1.0:
-            raise DocumentError('analysis spec: Schatten exponents must be numbers >= 1')
-        qs.append(float(q))
+    if any(not isinstance(q, (int, float)) or isinstance(q, bool) or not q >= 1.0
+           for q in exponents):
+        raise DocumentError('analysis spec: Schatten exponents must be numbers >= 1')
+    qs = [float(q) for q in exponents]
 
     seed = document.get("seed", 0)
     if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
@@ -163,86 +160,111 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     tol_cfg = document.get("tolerances", {})
     if not isinstance(tol_cfg, Mapping):
         raise DocumentError('analysis spec: "tolerances" must be an object')
-    iso_tol = float(tol_cfg.get("isometry_ratio", 1e-12))
-    decay = float(tol_cfg.get("compactness_decay_ratio", 0.1))
-    if not (iso_tol > 0 and decay > 0):
-        raise DocumentError("analysis spec: tolerances must be positive")
+    iso_tol = tol_cfg.get("isometry_ratio", 1e-12)
+    decay = tol_cfg.get("compactness_decay_ratio", 0.1)
+    if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0 < t < math.inf
+               for t in (iso_tol, decay)):
+        raise DocumentError("analysis spec: tolerances must be finite positive numbers")
 
     return AnalysisSpec(
         tree_source=tree_source, weight_source=weight_source, map_source=map_source,
         p=p, depth_ladder=tuple(depths), schatten_exponents=tuple(qs), seed=seed,
         oracle_enabled=enabled, oracle_max_vertices=cap,
-        isometry_ratio_tol=iso_tol, compact_decay_ratio=decay, base_dir=base_dir,
+        isometry_ratio_tol=float(iso_tol), compact_decay_ratio=float(decay), base_dir=base_dir,
     )
+
+
+def _strict_object(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"duplicate key '{next(k for k in keys if keys.count(k) > 1)}'")
+    return obj
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def read_json(path: Path, what: str = "") -> Mapping:
+    """The JSON object in the file at ``path``; ``NaN``, ``Infinity`` and
+    duplicate keys are errors. ``what`` names the document in messages."""
+    label = f"{what} '{path}'" if what else f"'{path}'"
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_strict_object,
+                         parse_constant=_no_constant)
+    except OSError as exc:
+        raise DocumentError(f"cannot read {label}: {exc}") from None
+    except ValueError as exc:
+        raise DocumentError(f"{label} is not valid JSON: {exc}") from None
+    if not isinstance(doc, Mapping):
+        raise DocumentError(f"{label} must hold a JSON object")
+    return doc
 
 
 def read_analysis_spec(path) -> AnalysisSpec:
     path = Path(path)
-    try:
-        document = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise DocumentError(f"cannot read analysis spec '{path}': {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"analysis spec '{path}' is not valid JSON: {exc}") from None
-    return parse_analysis_spec(document, path.parent)
-
-
-def _load_json(path: Path) -> Mapping:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"'{path}' is not valid JSON: {exc}") from None
-    if not isinstance(doc, Mapping):
-        raise DocumentError(f"'{path}' must hold a JSON object")
-    return doc
+    return parse_analysis_spec(read_json(path, "analysis spec"), path.parent)
 
 
 class _Materializer:
-    """Builds the per-depth operator instances an experiment asks for."""
+    """Builds the per-depth operator instances an experiment asks for: it
+    reads each document once, builds the deepest ladder entry once, resolves
+    the weight and an explicit map against it once, and restricts them to
+    each entry's ``kept_vertices``. Builtin maps are rebuilt per entry
+    (``depth_square`` depends on the depth)."""
 
     def __init__(self, spec: AnalysisSpec):
         self.spec = spec
-        self._base_tree: Tree | None = None
-        if "file" in spec.tree_source:
-            self._base_tree = load_tree(_load_json(spec.base_dir / spec.tree_source["file"]))
-        self._weight_doc: Mapping | None = None
-        if "file" in spec.weight_source:
-            self._weight_doc = _load_json(spec.base_dir / spec.weight_source["file"])
-        elif "family" in spec.weight_source or "weights" in spec.weight_source:
-            self._weight_doc = spec.weight_source
-        self._map_doc: Mapping | None = None
-        if "file" in spec.map_source:
-            self._map_doc = _load_json(spec.base_dir / spec.map_source["file"])
+        deepest, source = spec.depth_ladder[-1], spec.tree_source
+        if "file" in source:
+            tree = load_tree(read_json(spec.base_dir / source["file"]))
+            too_deep = [d for d in spec.depth_ladder if d > tree.truncation_depth]
+            if too_deep:
+                raise DocumentError(f"depth ladder entry {too_deep[0]} exceeds the loaded "
+                                    f"tree's depth {tree.truncation_depth}")
         else:
-            self._map_doc = spec.map_source
+            tree = build_bary(source["branching"], deepest, source.get("branch_until"))
+        self.base = truncate(tree, deepest)
+        # a table may name any vertex of the file tree; rows below the
+        # deepest entry are in no entry and are dropped
+        below = {tree.names[v] for v in np.flatnonzero(tree.depth > deepest).tolist()}
+        weight_doc, self.map_doc = (
+            _drop_rows(read_json(spec.base_dir / s["file"]) if "file" in s else s, below)
+            for s in (spec.weight_source, spec.map_source))
+        self.weight = load_weight(self.base, weight_doc)
+        self.symbol = load_map(self.base, self.map_doc) if "map" in self.map_doc else None
 
-    def tree_at(self, depth: int) -> Tree:
-        if self._base_tree is not None:
-            if depth > self._base_tree.truncation_depth:
-                raise DocumentError(
-                    f"depth ladder entry {depth} exceeds the loaded tree's depth "
-                    f"{self._base_tree.truncation_depth}")
-            return truncate(self._base_tree, depth)
-        src = self.spec.tree_source
-        return build_bary(src["branching"], depth, src.get("branch_until"))
-
-    def weight_on(self, tree: Tree) -> Weight:
-        doc = self._weight_doc
-        if doc is not None and "weights" in doc:
-            names = set(name_index(tree))
-            doc = {"weights": {k: v for k, v in doc["weights"].items() if k in names}}
-        return load_weight(tree, doc)
-
-    def map_on(self, tree: Tree) -> SelfMap:
-        doc = self._map_doc
-        if "map" in doc:
-            names = set(name_index(tree))
-            doc = {"map": {k: v for k, v in doc["map"].items() if k in names}}
-        return load_map(tree, doc)
+    def entry(self, depth: int) -> tuple[Tree, Weight, tuple | None]:
+        """Tree, weight and base ``kept_vertices`` (None at the base) at ``depth``."""
+        base, weight = self.base, self.weight
+        if depth == base.truncation_depth:
+            return base, weight, None
+        kept, tree = kept_vertices(base, depth), truncate(base, depth)
+        return tree, _validated(tree, weight.values[kept[0]], weight.family, weight.params), kept
 
     def operator_at(self, depth: int) -> OperatorSpec:
-        tree = self.tree_at(depth)
-        return OperatorSpec(tree, self.weight_on(tree), self.map_on(tree), self.spec.p)
+        tree, weight, kept = self.entry(depth)
+        symbol = self.symbol
+        if symbol is None:
+            symbol = load_map(tree, self.map_doc)
+        elif kept is not None:
+            keep, remap = kept
+            targets = symbol.image[keep]
+            image = remap[targets]
+            if (image < 0).any():
+                v = int(np.flatnonzero(image < 0)[0])
+                raise DocumentError(f"map sends vertex '{tree.name_of(v)}' to unknown vertex "
+                                    f"'{self.base.name_of(int(targets[v]))}'")
+            symbol = SelfMap(tree, image, label="custom")
+        return OperatorSpec(tree, weight, symbol, self.spec.p)
+
+
+def _drop_rows(document: Mapping, names: set) -> Mapping:
+    """``document`` without the weight or map table rows ``names`` lists."""
+    return {field: {k: v for k, v in table.items() if k not in names}
+            if field in ("weights", "map") and isinstance(table, Mapping) else table
+            for field, table in document.items()} if names else document
 
 
 def _spec_echo(spec: AnalysisSpec) -> dict:
@@ -363,10 +385,11 @@ def oracle_spectral_report(op: OperatorSpec, exponents) -> SpectralReport:
     )
 
 
-def run_spectrum(spec: AnalysisSpec) -> tuple[dict, str]:
+def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray | None]]:
     """Singular values, Schatten partial sums and the trace / fixed-point
     identity per depth, with oracle columns when the instance fits the dense
-    cap. The CSV lists the spectrum at the deepest ladder entry."""
+    cap. Also returns the deepest entry's analytic and oracle singular values
+    (None when the oracle did not run) for :func:`spectrum_csv`."""
     if spec.p != 2.0:
         raise DocumentError(
             f"spectrum analysis needs the p = 2 Hilbert space, got p = {real_str(spec.p)}; "
@@ -374,7 +397,6 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, str]:
     mat = _Materializer(spec)
     entries = []
     sums_by_q: dict[float, list[float]] = {q: [] for q in spec.schatten_exponents}
-    csv_text = ""
     for depth in spec.depth_ladder:
         op = mat.operator_at(depth)
         rep = spectral_report(op, spec.schatten_exponents)
@@ -412,54 +434,41 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, str]:
             "top_singular_values": [real_str(v) for v in analytic[:10]],
             "oracle": oracle_entry,
         })
-        if depth == spec.depth_ladder[-1]:
-            lines = []
-            if oracle_values is not None:
-                lines.append("rank,sigma_analytic,sigma_oracle")
-                for i, (a, o) in enumerate(zip(analytic, oracle_values), start=1):
-                    lines.append(f"{i},{real_str(a)},{real_str(o)}")
-            else:
-                lines.append("rank,sigma_analytic")
-                for i, a in enumerate(analytic, start=1):
-                    lines.append(f"{i},{real_str(a)}")
-            csv_text = "\n".join(lines) + "\n"
     report = _report_head("spectrum", spec)
     report["entries"] = entries
     report["schatten_trends"] = {
         real_str(q): schatten_trend(sums_by_q[q]) for q in spec.schatten_exponents}
-    return report, csv_text
+    return report, (analytic, oracle_values)
+
+
+def spectrum_csv(analytic: np.ndarray, oracle_values: np.ndarray | None = None) -> str:
+    """The spectrum as CSV, one row per singular value by rank, with an
+    oracle column when oracle values are given."""
+    columns = [analytic] if oracle_values is None else [analytic, oracle_values]
+    lines = ["rank,sigma_analytic" + ",sigma_oracle" * (oracle_values is not None)]
+    lines += [",".join([str(i), *map(real_str, row)])
+              for i, row in enumerate(zip(*columns), start=1)]
+    return "\n".join(lines) + "\n"
 
 
 def run_adversary(spec: AnalysisSpec) -> dict:
     """Construct the weight-spread witnesses on each ladder depth and report
     the ratio supremum they achieve."""
     mat = _Materializer(spec)
-    sections = {}
-    for key, build in (("unbounded_weight", adversary_unbounded),
-                       ("vanishing_weight", adversary_vanishing)):
-        ladder = []
-        found_any = False
-        for depth in spec.depth_ladder:
-            tree = mat.tree_at(depth)
-            weight = mat.weight_on(tree)
+    ladders: dict[str, list] = {"unbounded_weight": [], "vanishing_weight": []}
+    for depth in spec.depth_ladder:
+        tree, weight, _ = mat.entry(depth)
+        for key, build in zip(ladders, (adversary_unbounded, adversary_vanishing)):
             symbol = build(tree, weight)
-            if symbol is None:
-                ladder.append({"depth": depth, "found": False, "ratio_sup": None, "map": None})
-                continue
-            found_any = True
-            op = OperatorSpec(tree, weight, symbol, spec.p)
-            ladder.append({
-                "depth": depth,
-                "found": True,
-                "ratio_sup": real_str(ratio_sup(op).value),
-                "map": dump_map(symbol),
-            })
-        sections[key] = {
-            "entries": ladder,
-            "verdict": "adversary found" if found_any else "no adversary found",
-        }
+            found = symbol is not None
+            op = OperatorSpec(tree, weight, symbol, spec.p) if found else None
+            ladders[key].append({"depth": depth, "found": found,
+                                 "ratio_sup": real_str(ratio_sup(op).value) if found else None,
+                                 "map": dump_map(symbol) if found else None})
     report = _report_head("adversary", spec)
-    report.update(sections)
+    for key, ladder in ladders.items():
+        verdict = "adversary found" if any(e["found"] for e in ladder) else "no adversary found"
+        report[key] = {"entries": ladder, "verdict": verdict}
     return report
 
 

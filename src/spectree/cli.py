@@ -12,8 +12,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (read_analysis_spec, report_json, run_adversary,
-                       run_analyze, run_spectrum)
-from .errors import DocumentError
+                       run_analyze, run_spectrum, spectrum_csv)
 from .verify import SUITES, run_verify
 
 
@@ -93,10 +92,10 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.out)
             return 0
         if args.command == "spectrum":
-            report, csv_text = run_spectrum(read_analysis_spec(args.spec))
+            report, values = run_spectrum(read_analysis_spec(args.spec))
             _summarize_spectrum(report)
             if args.csv:
-                Path(args.csv).write_text(csv_text, encoding="utf-8")
+                Path(args.csv).write_text(spectrum_csv(*values), encoding="utf-8")
                 print(f"spectrum CSV written to {args.csv}")
             _emit(report, args.out)
             return 0
@@ -114,13 +113,7 @@ def main(argv: list[str] | None = None) -> int:
             _emit(report, args.out)
             return 0 if report["passed"] else 1
         raise AssertionError(f"unhandled command {args.command!r}")
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # DocumentError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, _check_vertex, name_index
+from .tree import Tree, _check_vertex, table_values
 from .weight import Weight
 
 TreeFunction = np.ndarray
@@ -89,24 +89,15 @@ def load_function(tree: Tree, document: Mapping) -> TreeFunction:
     document covering every vertex."""
     if not isinstance(document, Mapping) or "values" not in document:
         raise DocumentError('function document must be an object with a "values" field')
-    table = document["values"]
-    if not isinstance(table, Mapping):
-        raise DocumentError('function document field "values" must be an object')
-    idx = name_index(tree)
-    unknown = [k for k in table if k not in idx]
-    if unknown:
-        raise DocumentError(f"function document names unknown vertex '{unknown[0]}'")
     f = np.empty(len(tree), dtype=np.complex128)
-    for name, v in idx.items():
-        if name not in table:
-            raise DocumentError(f"function document is missing vertex '{name}'")
-        pair = table[name]
+    for v, pair in enumerate(table_values(tree, document, "function", "values")):
         try:
             re, im = pair
             f[v] = complex(float(re), float(im))
         except (TypeError, ValueError):
             raise DocumentError(
-                f"function value at vertex '{name}' must be a [re, im] pair, got {pair!r}") from None
+                f"function value at vertex '{tree.name_of(v)}' must be a [re, im] pair, "
+                f"got {pair!r}") from None
     if not np.isfinite(f.view(np.float64)).all():
         bad = int(np.flatnonzero(~np.isfinite(f))[0])
         raise DocumentError(f"function value at vertex '{tree.name_of(bad)}' is not finite")
@@ -115,5 +106,4 @@ def load_function(tree: Tree, document: Mapping) -> TreeFunction:
 
 def dump_function(tree: Tree, f: TreeFunction) -> dict:
     f = np.asarray(f, dtype=np.complex128)
-    return {"values": {tree.name_of(v): [float(f[v].real), float(f[v].imag)]
-                       for v in range(len(tree))}}
+    return {"values": {name: [z.real, z.imag] for name, z in zip(tree.vertex_names(), f.tolist())}}

@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, name_index
+from .tree import Tree, table_values
 from .weight import Weight
 
 _BUILTIN_LABELS = ("identity", "parent", "level_shift", "depth_square")
@@ -108,7 +108,8 @@ def level_shift_map(tree: Tree, k: int) -> SelfMap:
     if k < 0:
         raise ValueError("level shift must be >= 0")
     image = np.arange(len(tree), dtype=np.int64)
-    for _ in range(k):
+    # after truncation_depth steps every vertex has reached the root
+    for _ in range(min(k, tree.truncation_depth)):
         up = tree.parent[image]
         image = np.where(up >= 0, up, image)
     return SelfMap(tree, image, label="level_shift", params={"k": k})
@@ -159,22 +160,14 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
             return depth_square_map(tree)
         raise DocumentError(f"unknown builtin map '{name}'")
     if "map" in document:
-        table = document["map"]
-        if not isinstance(table, Mapping):
-            raise DocumentError('map document field "map" must be an object')
-        idx = name_index(tree)
-        unknown = [k for k in table if k not in idx]
-        if unknown:
-            raise DocumentError(f"map document names unknown vertex '{unknown[0]}'")
-        image = np.empty(len(tree), dtype=np.int64)
-        for name_, v in idx.items():
-            if name_ not in table:
-                raise DocumentError(f"map document is missing vertex '{name_}'")
-            target = table[name_]
-            if target not in idx:
-                raise DocumentError(
-                    f"map sends vertex '{name_}' to unknown vertex '{target}'")
-            image[v] = idx[target]
+        targets = table_values(tree, document, "map", "map")
+        idx = {name: v for v, name in enumerate(tree.vertex_names())}
+        image = np.array([idx.get(t, -1) if isinstance(t, str) else -1 for t in targets],
+                         dtype=np.int64)
+        if (image < 0).any():
+            v = int(np.flatnonzero(image < 0)[0])
+            raise DocumentError(
+                f"map sends vertex '{tree.name_of(v)}' to unknown vertex '{targets[v]}'")
         return SelfMap(tree, image, label="custom")
     raise DocumentError('map document needs a "builtin" or a "map" field')
 
@@ -188,9 +181,8 @@ def dump_map(symbol: SelfMap) -> dict:
         return doc
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
-    t = symbol.tree
-    return {"map": {t.name_of(v): t.name_of(int(symbol.image[v]))
-                    for v in range(len(t))}}
+    names = symbol.tree.vertex_names()
+    return {"map": {names[v]: names[w] for v, w in enumerate(symbol.image.tolist())}}
 
 
 def _pair_greedily(lam: np.ndarray, source_order: np.ndarray,

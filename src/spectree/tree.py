@@ -55,15 +55,19 @@ class Tree:
     terminal_gaps: tuple[VertexId, ...]
     levels: tuple[np.ndarray, ...]
 
-    @property
-    def n_vertices(self) -> int:
-        return int(self.parent.shape[0])
+    def __post_init__(self):
+        for array in (self.parent, self.depth, *self.levels):
+            array.setflags(write=False)
 
     def __len__(self) -> int:
-        return self.n_vertices
+        return int(self.parent.shape[0])
 
     def name_of(self, v: VertexId) -> str:
         return self.names[v] if self.names is not None else str(v)
+
+    def vertex_names(self) -> Sequence[str]:
+        """``name_of`` every vertex, in id order."""
+        return self.names if self.names is not None else [str(v) for v in range(len(self))]
 
 
 def _check_vertex(tree: Tree, v: int) -> int:
@@ -88,7 +92,6 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
     # vertices grouped by parent, siblings in id order: the root (parent -1)
     # comes first, then the children of v at kids[first[v]:first[v + 1]]
     kids = np.argsort(parent, kind="stable")
-    kids.setflags(write=False)
     n_kids = np.bincount(parent[1:], minlength=n)
     first = np.concatenate(([1], 1 + np.cumsum(n_kids)))
 
@@ -107,7 +110,6 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
         counts = n_kids[frontier]
         shift = np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
         frontier = kids[shift + np.arange(shift.size)]
-        frontier.setflags(write=False)
     if (depth < 0).any():
         v = int(np.flatnonzero(depth < 0)[0])
         name = names[v] if names is not None else str(v)
@@ -121,8 +123,6 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
     levels.extend([kids[:0]] * (truncation_depth - d_max))
 
     gaps = np.flatnonzero((n_kids == 0) & (depth < truncation_depth))
-    parent.setflags(write=False)
-    depth.setflags(write=False)
     return Tree(parent=parent, depth=depth, truncation_depth=int(truncation_depth),
                 names=names, terminal_gaps=tuple(gaps.tolist()), levels=tuple(levels))
 
@@ -232,17 +232,27 @@ def load_tree(document: Mapping) -> Tree:
 
 def dump_tree(tree: Tree) -> dict:
     """Serialize to the document format accepted by :func:`load_tree`."""
-    vertices = []
-    for v in range(len(tree)):
-        par = int(tree.parent[v])
-        vertices.append({"id": tree.name_of(v),
-                         "parent": None if par < 0 else tree.name_of(par)})
-    return {"vertices": vertices}
+    names = tree.vertex_names()
+    return {"vertices": [{"id": names[v], "parent": None if par < 0 else names[par]}
+                         for v, par in enumerate(tree.parent.tolist())]}
 
 
-def name_index(tree: Tree) -> dict[str, int]:
-    """Map document vertex ids to dense indices."""
-    return {tree.name_of(v): v for v in range(len(tree))}
+def table_values(tree: Tree, document: Mapping, what: str, field: str) -> list:
+    """The values of the ``{vertex-id: value}`` table ``document[field]`` in
+    vertex-id order. The table must name every vertex of ``tree`` and no
+    other; ``what`` names the document kind in the error messages."""
+    table = document[field]
+    if not isinstance(table, Mapping):
+        raise DocumentError(f'{what} document field "{field}" must be an object')
+    names = tree.vertex_names()
+    missing = [name for name in names if name not in table]
+    if len(table) > len(names) - len(missing):
+        known = set(names)
+        unknown = next(k for k in table if k not in known)
+        raise DocumentError(f"{what} document names unknown vertex '{unknown}'")
+    if missing:
+        raise DocumentError(f"{what} document is missing vertex '{missing[0]}'")
+    return [table[name] for name in names]
 
 
 def distance(tree: Tree, u: VertexId, v: VertexId) -> int:
@@ -280,18 +290,32 @@ def vertices_at_level(tree: Tree, n: int) -> np.ndarray:
     return tree.levels[n]
 
 
+def kept_vertices(tree: Tree, new_depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(keep, remap)``: vertex ``i`` of ``truncate(tree, new_depth)`` is
+    vertex ``keep[i]`` of ``tree`` (the vertices of depth at most
+    ``new_depth``, ascending), and ``remap`` inverts ``keep``, -1 elsewhere."""
+    keep = np.flatnonzero(tree.depth <= new_depth)
+    remap = np.full(len(tree), -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size, dtype=np.int64)
+    return keep, remap
+
+
 def truncate(tree: Tree, new_depth: int) -> Tree:
-    """Restrict the stored truncation to depth ``new_depth``."""
+    """Restrict the stored truncation to depth ``new_depth``. Kept vertices
+    keep their id order, and every child of a kept vertex above the new
+    frontier is kept, so levels and terminal gaps carry over."""
     new_depth = int(new_depth)
     if not 0 <= new_depth <= tree.truncation_depth:
         raise ValueError(
             f"truncation depth {new_depth} outside [0, {tree.truncation_depth}]")
     if new_depth == tree.truncation_depth:
         return tree
-    keep = np.flatnonzero(tree.depth <= new_depth)
-    remap = np.full(len(tree), -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size, dtype=np.int64)
-    parent = np.concatenate((np.array([-1], dtype=np.int64),
-                             remap[tree.parent[keep[1:]]]))
-    names = None if tree.names is None else tuple(tree.names[int(v)] for v in keep)
-    return _assemble(parent, names=names, truncation_depth=new_depth)
+    keep, remap = kept_vertices(tree, new_depth)
+    parent = remap[tree.parent[keep]]
+    parent[0] = -1  # the root's -1 indexed the last vertex
+    gaps = np.asarray(tree.terminal_gaps, dtype=np.int64)
+    gaps = remap[gaps[tree.depth[gaps] < new_depth]]
+    names = None if tree.names is None else tuple(tree.names[v] for v in keep.tolist())
+    return Tree(parent=parent, depth=tree.depth[keep], truncation_depth=new_depth, names=names,
+                terminal_gaps=tuple(gaps.tolist()),
+                levels=tuple(remap[level] for level in tree.levels[:new_depth + 1]))

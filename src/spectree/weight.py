@@ -12,7 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, name_index
+from .tree import Tree, table_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,23 +87,12 @@ def load_weight(tree: Tree, document: Mapping) -> Weight:
             return geometric_weight(tree, params["ratio"])
         raise DocumentError(f"unknown weight family '{family}'")
     if "weights" in document:
-        table = document["weights"]
-        if not isinstance(table, Mapping):
-            raise DocumentError('weight document field "weights" must be an object')
-        idx = name_index(tree)
-        unknown = [k for k in table if k not in idx]
-        if unknown:
-            raise DocumentError(f"weight document names unknown vertex '{unknown[0]}'")
-        values = np.empty(len(tree), dtype=np.float64)
-        for name, v in idx.items():
-            if name not in table:
-                raise DocumentError(f"weight document is missing vertex '{name}'")
-            raw = table[name]
-            if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raw = table_values(tree, document, "weight", "weights")
+        for v, value in enumerate(raw):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise DocumentError(
-                    f"weight at vertex '{name}' must be a number, got {raw!r}")
-            values[v] = float(raw)
-        return _validated(tree, values, "custom", None)
+                    f"weight at vertex '{tree.name_of(v)}' must be a number, got {value!r}")
+        return _validated(tree, np.array(raw, dtype=np.float64), "custom", None)
     raise DocumentError('weight document needs a "family" or a "weights" field')
 
 
@@ -114,8 +103,7 @@ def dump_weight(weight: Weight) -> dict:
         if weight.params:
             doc["params"] = dict(weight.params)
         return doc
-    return {"weights": {weight.tree.name_of(v): float(weight.values[v])
-                        for v in range(len(weight.tree))}}
+    return {"weights": dict(zip(weight.tree.vertex_names(), weight.values.tolist()))}
 
 
 def bounds(weight: Weight) -> tuple[float, float]:

@@ -2,11 +2,12 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from spectree import DocumentError, build_bary, dump_tree
 from spectree.analysis import (parse_analysis_spec, read_analysis_spec,
-                               run_adversary, run_analyze, run_spectrum)
+                               run_adversary, run_analyze, run_spectrum, spectrum_csv)
 from spectree.cli import main
 
 
@@ -88,7 +89,8 @@ def test_spectrum_identity_seven_vertices(tmp_path):
     doc = base_doc(tree={"generator": "bary", "branching": 2},
                    weight={"family": "constant", "params": {"value": 1.0}},
                    map={"builtin": "identity"}, depth_ladder=[2])
-    report, csv_text = run_spectrum(read_analysis_spec(write_spec(tmp_path, doc)))
+    report, values = run_spectrum(read_analysis_spec(write_spec(tmp_path, doc)))
+    csv_text = spectrum_csv(*values)
     entry = report["entries"][0]
     assert float(entry["hs_norm"]) == pytest.approx(math.sqrt(7), rel=1e-12)
     assert float(entry["trace_diagonal"]) == 7.0
@@ -114,7 +116,8 @@ def test_spectrum_geometric_path_closed_form(tmp_path):
 
 def test_spectrum_respects_oracle_cap(tmp_path):
     doc = base_doc(depth_ladder=[4, 9], oracle={"enabled": True, "max_vertices": 100})
-    report, csv_text = run_spectrum(read_analysis_spec(write_spec(tmp_path, doc)))
+    report, values = run_spectrum(read_analysis_spec(write_spec(tmp_path, doc)))
+    csv_text = spectrum_csv(*values)
     first, second = report["entries"]
     assert first["oracle"]["checked"]
     assert not second["oracle"]["checked"]
@@ -176,13 +179,16 @@ def test_map_not_closed_after_truncation(tmp_path):
     # vertex 1 points at the deepest vertex, which truncation removes
     mapping = {"0": "0", "1": "3", "2": "1", "3": "2"}
     (tmp_path / "map.json").write_text(json.dumps({"map": mapping}), encoding="utf-8")
-    doc = base_doc(tree={"file": "tree.json"},
-                   weight={"family": "constant", "params": {"value": 1.0}},
-                   map={"file": "map.json"}, depth_ladder=[2])
-    path = write_spec(tmp_path, doc)
-    with pytest.raises(DocumentError, match="unknown vertex"):
-        run_analyze(read_analysis_spec(path))
-    assert main(["analyze", path]) == 2
+    # at [2] the whole ladder stops above vertex 3; at [2, 3] only the first
+    # entry does, and the map is cut down to it
+    for ladder in ([2], [2, 3]):
+        doc = base_doc(tree={"file": "tree.json"},
+                       weight={"family": "constant", "params": {"value": 1.0}},
+                       map={"file": "map.json"}, depth_ladder=ladder)
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(DocumentError, match="map sends vertex '1' to unknown vertex '3'"):
+            run_analyze(read_analysis_spec(path))
+        assert main(["analyze", path]) == 2
 
 
 def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
@@ -214,3 +220,117 @@ def test_verify_cli_runs_single_suite(tmp_path):
     report = json.loads(out.read_text())
     assert [s["name"] for s in report["suites"]] == ["adversary"]
     assert report["passed"]
+
+
+def write_doc(tmp_path, name, doc):
+    (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+
+
+def shuffled_tree_files(tmp_path, depth=4):
+    """A binary tree document with shuffled ids and shuffled document order,
+    a random weight table and a random explicit map sending each vertex to a
+    vertex no deeper than itself, so the map stays closed under truncation.
+    Tables cover the whole tree."""
+    rng = np.random.default_rng(5)
+    tree = build_bary(2, depth)
+    n = len(tree)
+    names = [f"x{t}" for t in rng.permutation(n)]
+    order = rng.permutation(n)
+    write_doc(tmp_path, "tree.json", {"vertices": [
+        {"id": names[v], "parent": names[tree.parent[v]] if v else None} for v in order]})
+    write_doc(tmp_path, "weight.json", {"weights": {
+        names[v]: float(w) for v, w in zip(order, 10.0 ** rng.uniform(-2, 2, n)[order])}})
+    targets = [int(rng.choice(np.flatnonzero(tree.depth <= tree.depth[v]))) for v in range(n)]
+    write_doc(tmp_path, "map.json", {"map": {names[v]: names[targets[v]] for v in order}})
+    return base_doc(tree={"file": "tree.json"}, weight={"file": "weight.json"},
+                    map={"file": "map.json"}, depth_ladder=[1, 3])
+
+
+def assert_ladder_is_per_depth(tmp_path, doc, ladder):
+    """A multi-depth ladder gives, entry for entry, what one run per depth
+    gives, for analyze, spectrum and adversary."""
+    def run_all(depths, name):
+        spec = read_analysis_spec(write_spec(tmp_path, doc | {"depth_ladder": depths}, name))
+        report, values = run_spectrum(spec)
+        return run_analyze(spec), report, values, run_adversary(spec)
+
+    analyzed, spectra, values, adversaries = run_all(ladder, "ladder.json")
+    for i, depth in enumerate(ladder):
+        one = run_all([depth], f"depth{depth}.json")
+        assert analyzed["entries"][i] == one[0]["entries"][0]
+        assert spectra["entries"][i] == one[1]["entries"][0]
+        for key in ("unbounded_weight", "vanishing_weight"):
+            assert adversaries[key]["entries"][i] == one[3][key]["entries"][0]
+    assert spectrum_csv(*values) == spectrum_csv(*one[2])
+
+
+def test_file_ladder_matches_one_run_per_depth(tmp_path):
+    assert_ladder_is_per_depth(tmp_path, shuffled_tree_files(tmp_path), [0, 1, 2, 4])
+
+
+def test_file_ladder_below_the_tree_drops_deeper_table_rows(tmp_path):
+    # the tables name the depth-4 vertices, which no entry keeps
+    assert_ladder_is_per_depth(tmp_path, shuffled_tree_files(tmp_path), [1, 3])
+
+
+def test_generated_ladder_matches_one_run_per_depth(tmp_path):
+    doc = base_doc(tree={"generator": "bary", "branching": 2, "branch_until": 2})
+    assert_ladder_is_per_depth(tmp_path, doc, [1, 4, 6])
+    geometric = base_doc(weight={"family": "geometric", "params": {"ratio": 0.5}},
+                         map={"builtin": "level_shift", "params": {"k": 2}})
+    assert_ladder_is_per_depth(tmp_path, geometric, [0, 2, 3])
+
+
+def test_tables_naming_unknown_vertices_are_rejected(tmp_path, capsys):
+    doc = shuffled_tree_files(tmp_path)
+    weights = json.loads((tmp_path / "weight.json").read_text())
+    weights["weights"]["bogus"] = 1.0
+    write_doc(tmp_path, "bad_weight.json", weights)
+    mapping = json.loads((tmp_path / "map.json").read_text())
+    mapping["map"]["bogus"] = next(iter(mapping["map"]))
+    write_doc(tmp_path, "bad_map.json", mapping)
+    generated = {str(v): 1.0 for v in range(7)}
+    cases = [
+        (doc | {"weight": {"file": "bad_weight.json"}}, "weight document names unknown vertex 'bogus'"),
+        (doc | {"map": {"file": "bad_map.json"}}, "map document names unknown vertex 'bogus'"),
+        # vertex 7 is in no tree of the ladder's deepest depth, 2
+        (base_doc(weight={"weights": generated | {"7": 1.0}}, depth_ladder=[1, 2]),
+         "weight document names unknown vertex '7'"),
+        (base_doc(map={"map": {v: "0" for v in generated} | {"7": "0"}}, depth_ladder=[1, 2]),
+         "map document names unknown vertex '7'"),
+    ]
+    for i, (bad, message) in enumerate(cases):
+        path = write_spec(tmp_path, bad, f"bad{i}.json")
+        with pytest.raises(DocumentError, match=message):
+            run_analyze(read_analysis_spec(path))
+        assert main(["analyze", path]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"p": NaN}', "NaN is not a JSON number"),
+    ('{"p": 2, "seed": -Infinity}', "-Infinity is not a JSON number"),
+    ('{"p": 2, "depth_ladder": [1], "p": 3}', "duplicate key 'p'"),
+])
+def test_json_documents_are_parsed_strictly(tmp_path, text, message):
+    (tmp_path / "spec.json").write_text(text, encoding="utf-8")
+    with pytest.raises(DocumentError, match=message):
+        read_analysis_spec(tmp_path / "spec.json")
+    # a referenced document goes through the same reader
+    (tmp_path / "weight.json").write_text('{"family": "constant", "params": '
+                                         + text + "}", encoding="utf-8")
+    path = write_spec(tmp_path, base_doc(weight={"file": "weight.json"}), "uses_weight.json")
+    assert main(["analyze", path]) == 2
+    with pytest.raises(DocumentError, match=message):
+        run_analyze(read_analysis_spec(path))
+
+
+@pytest.mark.parametrize("tolerances", [
+    {"isometry_ratio": True},
+    {"compactness_decay_ratio": math.inf},
+    {"isometry_ratio": math.nan},
+    {"compactness_decay_ratio": 0},
+])
+def test_tolerances_must_be_finite_positive_numbers(tolerances):
+    with pytest.raises(DocumentError, match="must be finite positive numbers"):
+        parse_analysis_spec(base_doc(tolerances=tolerances))

@@ -160,6 +160,9 @@ def test_function_document_round_trip():
     f = np.array([1 + 2j, -0.5j, 3.0])
     doc = dump_function(t, f)
     assert np.array_equal(load_function(t, doc), f)
+    # table values are never compared with ==, so array pairs load too
+    arrays = {"values": {k: np.array(v) for k, v in doc["values"].items()}}
+    assert np.array_equal(load_function(t, arrays), f)
     with pytest.raises(DocumentError, match="missing"):
         load_function(t, {"values": {"0": [1, 0]}})
     with pytest.raises(DocumentError, match="unknown"):

@@ -7,6 +7,7 @@ from spectree import (OperatorSpec, build_bary, constant_weight, custom_weight,
                       dump_matrix_csv, frobenius_norm, identity_map,
                       jacobi_eigenvalues, matrix_of, norm_search,
                       operator_norm, parent_map, preimage_ratio,
+                      reciprocal_depth_weight,
                       singular_values_analytic, svd_values)
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
                                 random_injective_spec, random_permutation_map,
@@ -90,6 +91,22 @@ def test_jacobi_accuracy_with_large_entries():
     ours = jacobi_eigenvalues(sym)
     ref = np.sort(np.linalg.eigvalsh(sym))[::-1]
     assert float(np.max(np.abs(ours - ref))) <= 1e-9
+
+
+def test_jacobi_stops_at_once_on_a_diagonal_gram(monkeypatch):
+    # binary depth 3, weight 1/(1+depth), parent map: C^T C is exactly
+    # diagonal, but the full-minus-diagonal residual read about 1e-8
+    # relative and never met the 1e-14 test, so all 100 sweeps ran
+    t = build_bary(2, 3)
+    m = matrix_of(spec2(t, reciprocal_depth_weight(t), parent_map(t)))
+    gram = m.T @ m
+    assert np.count_nonzero(gram - np.diag(np.diag(gram))) == 0
+    norms = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: norms.append(1) or norm(*a, **k))
+    eig = jacobi_eigenvalues(gram)
+    assert len(norms) == 1  # one per sweep: the first residual test stops it
+    assert np.array_equal(eig, np.sort(np.diag(gram))[::-1])
 
 
 def test_svd_matches_numpy_on_random_rectangular_matrices():

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -103,6 +105,16 @@ def test_level_shift_examples():
     assert list(analyze(level_shift_map(t, 0)).fixed_points) == list(range(6))
     with pytest.raises(ValueError):
         level_shift_map(t, -1)
+
+
+def test_level_shift_beyond_the_depth_is_the_shift_to_the_root():
+    t = build_bary(2, 4)
+    began = time.perf_counter()
+    far = level_shift_map(t, 10 ** 9)
+    assert time.perf_counter() - began < 1.0
+    assert np.array_equal(far.image, level_shift_map(t, t.truncation_depth).image)
+    assert far.params == {"k": 10 ** 9}
+    assert dump_map(far) == {"builtin": "level_shift", "params": {"k": 10 ** 9}}
 
 
 def test_parent_map_on_path():

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectree import DocumentError, build_bary, distance, dump_tree, load_tree, truncate, vertices_at_level
-from spectree.tree import _assemble, bary_vertex_count, name_index
+from spectree.tree import _assemble, bary_vertex_count, kept_vertices
 
 
 def degree(tree, v):
@@ -208,7 +208,7 @@ def test_truncate_preserves_names():
     ]})
     u = truncate(t, 1)
     assert u.names == ("r", "a")
-    assert name_index(u) == {"r": 0, "a": 1}
+    assert u.vertex_names() == ("r", "a")
 
 
 def test_generator_guards_against_huge_trees():
@@ -278,16 +278,16 @@ def reference_assemble(parent, truncation_depth=None):
 
 
 @st.composite
-def parent_arrays(draw):
+def parent_arrays(draw, cycles=True):
     """Random trees with shuffled ids (the root stays 0): each vertex either
     continues a single-child chain or hangs off a random earlier vertex, so
-    terminal gaps are common. With ``cycle`` one vertex is re-parented onto
-    its own subtree, which cuts that subtree off from the root."""
+    terminal gaps are common. With ``cycles``, one vertex may be re-parented
+    onto its own subtree, which cuts that subtree off from the root."""
     n = draw(st.integers(1, 40))
     picks = draw(st.lists(st.integers(0, 2 ** 16), min_size=n - 1, max_size=n - 1))
     parent = [-1] + [v - 1 if pick % 3 == 0 else pick % v
                      for v, pick in enumerate(picks, start=1)]
-    if n > 1 and draw(st.booleans()):
+    if n > 1 and cycles and draw(st.booleans()):
         v = draw(st.integers(1, n - 1))
         subtree = [w for w in range(v, n) if w == v or _has_ancestor(parent, w, v)]
         parent[v] = draw(st.sampled_from(subtree))
@@ -320,3 +320,40 @@ def test_assembly_matches_the_pure_python_reference(case):
     assert [list(lvl) for lvl in t.levels] == [list(lvl) for lvl in levels]
     assert t.terminal_gaps == gaps
     assert all(lvl.dtype == np.int64 and not lvl.flags.writeable for lvl in t.levels)
+
+
+def reference_truncate(tree, new_depth):
+    """Truncation by re-assembly: relabel the kept vertices and run
+    ``_assemble`` on them again."""
+    if new_depth == tree.truncation_depth:
+        return tree
+    keep = np.flatnonzero(tree.depth <= new_depth)
+    remap = np.full(len(tree), -1, dtype=np.int64)
+    remap[keep] = np.arange(keep.size, dtype=np.int64)
+    parent = np.concatenate((np.array([-1], dtype=np.int64),
+                             remap[tree.parent[keep[1:]]]))
+    names = None if tree.names is None else tuple(tree.names[int(v)] for v in keep)
+    return _assemble(parent, names=names, truncation_depth=new_depth)
+
+
+@given(parent_arrays(cycles=False), st.booleans(), st.data())
+def test_truncate_matches_reassembly(case, named, data):
+    parent, truncation_depth = case
+    n = len(parent)
+    names = tuple(f"v{i}" for i in data.draw(st.permutations(range(n)))) if named else None
+    if truncation_depth is not None and truncation_depth < reference_assemble(parent)[0].max():
+        truncation_depth = None
+    tree = _assemble(parent, names, truncation_depth)
+    new_depth = data.draw(st.integers(0, tree.truncation_depth))
+    got, want = truncate(tree, new_depth), reference_truncate(tree, new_depth)
+    assert got.truncation_depth == want.truncation_depth == new_depth
+    assert np.array_equal(got.parent, want.parent)
+    assert np.array_equal(got.depth, want.depth)
+    assert [list(lvl) for lvl in got.levels] == [list(lvl) for lvl in want.levels]
+    assert got.terminal_gaps == want.terminal_gaps
+    assert got.names == want.names
+    arrays = (got.parent, got.depth) + got.levels
+    assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
+    keep, remap = kept_vertices(tree, new_depth)
+    assert np.array_equal(remap[keep], np.arange(len(got)))
+    assert np.array_equal(tree.depth[keep], got.depth)
