@@ -13,7 +13,7 @@ from spectree import (basis_vector, bounds, build_bary, constant_weight,
 
 print("== a binary truncation of depth 3 ==")
 tree = build_bary(2, 3)
-print(f"vertices: {len(tree)}, level sizes: {[len(l) for l in tree.levels]}")
+print(f"vertices: {len(tree)}, level sizes: {np.diff(tree.level_start).tolist()}")
 leaf = int(vertices_at_level(tree, 3)[0])
 print(f"distance(root, first leaf) = {distance(tree, 0, leaf)}")
 a, b = (int(v) for v in vertices_at_level(tree, 1))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -24,8 +24,9 @@ from .errors import DocumentError
 from .schatten import SpectralReport, schatten_trend, spectral_report
 from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, analyze,
                       dump_map, load_map)
-from .tree import Tree, build_bary, dump_tree, kept_vertices, load_tree, truncate
-from .weight import Weight, _validated, dump_weight, load_weight
+from .tree import (Tree, build_bary, document_int, document_real, dump_tree, load_tree,
+                   truncate)
+from .weight import Weight, dump_weight, load_weight
 
 SCHEMA_VERSION = 1
 
@@ -69,13 +70,9 @@ def _require(document: Mapping, field: str, kind, where: str):
         raise DocumentError(f"{where}: missing field \"{field}\"")
     value = document[field]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise DocumentError(f"{where}: field \"{field}\" must be a number")
-        return float(value)
+        return document_real(value, f'{where}: field "{field}"')
     if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DocumentError(f"{where}: field \"{field}\" must be an integer")
-        return value
+        return document_int(value, f'{where}: field "{field}"')
     if not isinstance(value, kind):
         raise DocumentError(f"{where}: field \"{field}\" has the wrong type")
     return value
@@ -101,12 +98,10 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     if "file" in tree_source:
         _check_file(tree_source, base_dir, 'analysis spec field "tree"')
     elif tree_source.get("generator") == "bary":
-        b = _require(tree_source, "branching", int, 'tree source')
-        if b < 1:
+        if _require(tree_source, "branching", int, "tree source") < 1:
             raise DocumentError('tree source: "branching" must be >= 1')
-        bu = tree_source.get("branch_until")
-        if bu is not None and (not isinstance(bu, int) or bu < 0):
-            raise DocumentError('tree source: "branch_until" must be a nonnegative integer')
+        if tree_source.get("branch_until") is not None:
+            document_int(tree_source["branch_until"], 'tree source: "branch_until"')
     else:
         raise DocumentError('tree source must be {"generator": "bary", ...} or {"file": path}')
 
@@ -129,23 +124,18 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     ladder = _require(document, "depth_ladder", Sequence, "analysis spec")
     if isinstance(ladder, (str, bytes)) or not ladder:
         raise DocumentError('analysis spec: "depth_ladder" must be a non-empty array')
-    depths = list(ladder)
-    if any(not isinstance(d, int) or isinstance(d, bool) or d < 0 for d in depths):
-        raise DocumentError('analysis spec: depth ladder entries must be nonnegative integers')
+    depths = [document_int(d, "analysis spec: depth ladder entry") for d in ladder]
     if any(b <= a for a, b in zip(depths, depths[1:])):
         raise DocumentError('analysis spec: "depth_ladder" must be strictly increasing')
 
     exponents = document.get("schatten_exponents", [1, 2])
     if isinstance(exponents, (str, bytes)) or not isinstance(exponents, Sequence) or not exponents:
         raise DocumentError('analysis spec: "schatten_exponents" must be a non-empty array')
-    if any(not isinstance(q, (int, float)) or isinstance(q, bool) or not q >= 1.0
-           for q in exponents):
+    qs = [document_real(q, "analysis spec: Schatten exponent") for q in exponents]
+    if not all(q >= 1.0 for q in qs):
         raise DocumentError('analysis spec: Schatten exponents must be numbers >= 1')
-    qs = [float(q) for q in exponents]
 
-    seed = document.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise DocumentError('analysis spec: "seed" must be a nonnegative integer')
+    seed = document_int(document.get("seed", 0), 'analysis spec: "seed"')
 
     oracle_cfg = document.get("oracle", {})
     if not isinstance(oracle_cfg, Mapping):
@@ -153,24 +143,23 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     enabled = oracle_cfg.get("enabled", True)
     if not isinstance(enabled, bool):
         raise DocumentError('analysis spec: "oracle.enabled" must be a boolean')
-    cap = oracle_cfg.get("max_vertices", oracle_mod.DEFAULT_MAX_ORACLE_VERTICES)
-    if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-        raise DocumentError('analysis spec: "oracle.max_vertices" must be a positive integer')
+    cap = document_int(oracle_cfg.get("max_vertices", oracle_mod.DEFAULT_MAX_ORACLE_VERTICES),
+                       'analysis spec: "oracle.max_vertices"', low=1)
 
     tol_cfg = document.get("tolerances", {})
     if not isinstance(tol_cfg, Mapping):
         raise DocumentError('analysis spec: "tolerances" must be an object')
-    iso_tol = tol_cfg.get("isometry_ratio", 1e-12)
-    decay = tol_cfg.get("compactness_decay_ratio", 0.1)
+    tols = (tol_cfg.get("isometry_ratio", 1e-12), tol_cfg.get("compactness_decay_ratio", 0.1))
     if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0 < t < math.inf
-               for t in (iso_tol, decay)):
+               for t in tols):
         raise DocumentError("analysis spec: tolerances must be finite positive numbers")
+    iso_tol, decay = (document_real(t, "analysis spec: tolerance") for t in tols)
 
     return AnalysisSpec(
         tree_source=tree_source, weight_source=weight_source, map_source=map_source,
         p=p, depth_ladder=tuple(depths), schatten_exponents=tuple(qs), seed=seed,
         oracle_enabled=enabled, oracle_max_vertices=cap,
-        isometry_ratio_tol=float(iso_tol), compact_decay_ratio=float(decay), base_dir=base_dir,
+        isometry_ratio_tol=iso_tol, compact_decay_ratio=decay, base_dir=base_dir,
     )
 
 
@@ -211,8 +200,8 @@ class _Materializer:
     """Builds the per-depth operator instances an experiment asks for: it
     reads each document once, builds the deepest ladder entry once, resolves
     the weight and an explicit map against it once, and restricts them to
-    each entry's ``kept_vertices``. Builtin maps are rebuilt per entry
-    (``depth_square`` depends on the depth)."""
+    each entry, whose vertices are an id prefix of the deepest tree. Builtin
+    maps are rebuilt per entry (``depth_square`` depends on the depth)."""
 
     def __init__(self, spec: AnalysisSpec):
         self.spec = spec
@@ -228,34 +217,32 @@ class _Materializer:
         self.base = truncate(tree, deepest)
         # a table may name any vertex of the file tree; rows below the
         # deepest entry are in no entry and are dropped
-        below = {tree.names[v] for v in np.flatnonzero(tree.depth > deepest).tolist()}
+        below = set((tree.names or ())[len(self.base):])
         weight_doc, self.map_doc = (
             _drop_rows(read_json(spec.base_dir / s["file"]) if "file" in s else s, below)
             for s in (spec.weight_source, spec.map_source))
         self.weight = load_weight(self.base, weight_doc)
         self.symbol = load_map(self.base, self.map_doc) if "map" in self.map_doc else None
 
-    def entry(self, depth: int) -> tuple[Tree, Weight, tuple | None]:
-        """Tree, weight and base ``kept_vertices`` (None at the base) at ``depth``."""
+    def entry(self, depth: int) -> tuple[Tree, Weight]:
+        """Tree and weight at ``depth``."""
         base, weight = self.base, self.weight
         if depth == base.truncation_depth:
-            return base, weight, None
-        kept, tree = kept_vertices(base, depth), truncate(base, depth)
-        return tree, _validated(tree, weight.values[kept[0]], weight.family, weight.params), kept
+            return base, weight
+        tree = truncate(base, depth)
+        return tree, replace(weight, tree=tree, values=weight.values[:len(tree)])
 
     def operator_at(self, depth: int) -> OperatorSpec:
-        tree, weight, kept = self.entry(depth)
-        symbol = self.symbol
+        tree, weight = self.entry(depth)
+        n, symbol = len(tree), self.symbol
         if symbol is None:
             symbol = load_map(tree, self.map_doc)
-        elif kept is not None:
-            keep, remap = kept
-            targets = symbol.image[keep]
-            image = remap[targets]
-            if (image < 0).any():
-                v = int(np.flatnonzero(image < 0)[0])
+        elif n < len(self.base):
+            image = symbol.image[:n]
+            if (image >= n).any():
+                v = int(np.flatnonzero(image >= n)[0])
                 raise DocumentError(f"map sends vertex '{tree.name_of(v)}' to unknown vertex "
-                                    f"'{self.base.name_of(int(targets[v]))}'")
+                                    f"'{self.base.name_of(int(image[v]))}'")
             symbol = SelfMap(tree, image, label="custom")
         return OperatorSpec(tree, weight, symbol, self.spec.p)
 
@@ -457,7 +444,7 @@ def run_adversary(spec: AnalysisSpec) -> dict:
     mat = _Materializer(spec)
     ladders: dict[str, list] = {"unbounded_weight": [], "vanishing_weight": []}
     for depth in spec.depth_ladder:
-        tree, weight, _ = mat.entry(depth)
+        tree, weight = mat.entry(depth)
         for key, build in zip(ladders, (adversary_unbounded, adversary_vanishing)):
             symbol = build(tree, weight)
             found = symbol is not None

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, _check_vertex, table_values
+from .tree import Tree, _check_vertex, document_real, table_values
 from .weight import Weight
 
 TreeFunction = np.ndarray
@@ -91,13 +91,12 @@ def load_function(tree: Tree, document: Mapping) -> TreeFunction:
         raise DocumentError('function document must be an object with a "values" field')
     f = np.empty(len(tree), dtype=np.complex128)
     for v, pair in enumerate(table_values(tree, document, "function", "values")):
+        what = f"function value at vertex '{tree.name_of(v)}'"
         try:
             re, im = pair
-            f[v] = complex(float(re), float(im))
         except (TypeError, ValueError):
-            raise DocumentError(
-                f"function value at vertex '{tree.name_of(v)}' must be a [re, im] pair, "
-                f"got {pair!r}") from None
+            raise DocumentError(f"{what} must be a [re, im] pair, got {pair!r}") from None
+        f[v] = complex(document_real(re, what), document_real(im, what))
     if not np.isfinite(f.view(np.float64)).all():
         bad = int(np.flatnonzero(~np.isfinite(f))[0])
         raise DocumentError(f"function value at vertex '{tree.name_of(bad)}' is not finite")

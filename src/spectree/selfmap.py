@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, table_values
+from .tree import Tree, document_int, table_values
 from .weight import Weight
 
 _BUILTIN_LABELS = ("identity", "parent", "level_shift", "depth_square")
@@ -125,15 +125,15 @@ def depth_square_map(tree: Tree) -> SelfMap:
     deeper vertices would need images beyond the frontier and are excluded.
     """
     eff = math.isqrt(tree.truncation_depth)
+    start = tree.level_start
+    width = np.diff(start)
     image = np.full(len(tree), -1, dtype=np.int64)
     for n in range(eff + 1):
-        src = tree.levels[n]
-        dst = tree.levels[n * n]
-        if dst.size < src.size:
-            raise ValueError(
-                f"level {n * n} has {dst.size} vertices but level {n} has {src.size}; "
+        if width[n * n] < width[n]:
+            raise DocumentError(
+                f"level {n * n} has {width[n * n]} vertices but level {n} has {width[n]}; "
                 "the index-preserving construction needs the image level to be at least as wide")
-        image[src] = dst[: src.size]
+        image[start[n]:start[n + 1]] = np.arange(start[n * n], start[n * n] + width[n])
     return SelfMap(tree, image, label="depth_square",
                    params={"effective_domain_depth": eff})
 
@@ -155,7 +155,7 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
         if name == "level_shift":
             if "k" not in params:
                 raise DocumentError("level_shift needs params.k")
-            return level_shift_map(tree, params["k"])
+            return level_shift_map(tree, document_int(params["k"], "level_shift params.k"))
         if name == "depth_square":
             return depth_square_map(tree)
         raise DocumentError(f"unknown builtin map '{name}'")

@@ -1,15 +1,17 @@
 """Finite-depth truncations of rooted trees.
 
 A stored tree is the depth-``D`` truncation of an idealized infinite rooted
-tree: vertex 0 is the root, every other vertex records its parent, and in the
-idealized object no vertex is terminal, so leaves are expected only at the
-truncation frontier. Vertices are dense integer ids. Within a level the
-canonical order is lexicographic by root path, which makes "the i-th vertex
-at level n" well defined and reproducible.
+tree: every vertex but the root records its parent, and in the idealized
+object no vertex is terminal, so leaves are expected only at the truncation
+frontier. Vertices are dense integer ids in canonical level order: by depth,
+then the children of each vertex of the level above in turn, which within a
+level is lexicographic by root path. So vertex 0 is the root, a level is an
+id range and a shallower truncation is an id prefix.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -31,10 +33,9 @@ class Tree:
     Attributes
     ----------
     parent:
-        ``parent[v]`` is the parent id of ``v``, ``-1`` for the root. Sibling
-        order is id order, and it defines the lexicographic root-path order.
+        ``parent[v]`` is the parent id of ``v``, ``-1`` for the root.
     depth:
-        Edge distance to the root; ``depth[0] == 0``.
+        Edge distance to the root, nondecreasing along the ids.
     truncation_depth:
         Depth ``D`` of the stored frontier.
     names:
@@ -43,9 +44,9 @@ class Tree:
         Vertices shallower than ``D`` with no children, ascending. They
         violate the terminal-free model and can only come from ad hoc
         documents; they are accepted but marked.
-    levels:
-        ``levels[n]`` holds the vertices at depth ``n`` in canonical order:
-        the children of each vertex of ``levels[n - 1]`` in turn.
+    level_start:
+        ``D + 2`` offsets: the vertices at depth ``n`` are the ids
+        ``level_start[n]:level_start[n + 1]``.
     """
 
     parent: np.ndarray
@@ -53,10 +54,10 @@ class Tree:
     truncation_depth: int
     names: tuple[str, ...] | None
     terminal_gaps: tuple[VertexId, ...]
-    levels: tuple[np.ndarray, ...]
+    level_start: np.ndarray
 
     def __post_init__(self):
-        for array in (self.parent, self.depth, *self.levels):
+        for array in (self.parent, self.depth, self.level_start):
             array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -79,20 +80,22 @@ def _check_vertex(tree: Tree, v: int) -> int:
 
 def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
               truncation_depth: int | None = None) -> Tree:
+    """The tree ``parent`` describes (``-1`` at its root), renumbered into
+    level order with siblings in input order; ``names`` is renumbered too."""
     parent = np.asarray(parent, dtype=np.int64)
     n = int(parent.shape[0])
     if n == 0:
         raise DocumentError("tree has no vertices")
-    if parent[0] != -1:
-        raise ValueError("internal error: vertex 0 must be the root")
-    if n > 1 and (((parent[1:] < 0) | (parent[1:] >= n)).any()):
-        bad = 1 + int(np.flatnonzero((parent[1:] < 0) | (parent[1:] >= n))[0])
+    if ((parent < -1) | (parent >= n)).any():
+        bad = int(np.flatnonzero((parent < -1) | (parent >= n))[0])
         raise ValueError(f"vertex {bad} has parent id outside the vertex set")
+    if np.count_nonzero(parent < 0) != 1:
+        raise ValueError("internal error: the tree needs exactly one root")
 
     # vertices grouped by parent, siblings in id order: the root (parent -1)
     # comes first, then the children of v at kids[first[v]:first[v + 1]]
     kids = np.argsort(parent, kind="stable")
-    n_kids = np.bincount(parent[1:], minlength=n)
+    n_kids = np.bincount(parent + 1, minlength=n + 1)[1:]
     first = np.concatenate(([1], 1 + np.cumsum(n_kids)))
 
     # level n + 1 is the children of level n in level order, which is the
@@ -120,11 +123,17 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
         truncation_depth = d_max
     elif truncation_depth < d_max:
         raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
-    levels.extend([kids[:0]] * (truncation_depth - d_max))
+    sizes = [0] + [level.size for level in levels] + [0] * (truncation_depth - d_max)
 
-    gaps = np.flatnonzero((n_kids == 0) & (depth < truncation_depth))
-    return Tree(parent=parent, depth=depth, truncation_depth=int(truncation_depth),
-                names=names, terminal_gaps=tuple(gaps.tolist()), levels=tuple(levels))
+    # new id i is input vertex order[i]; the root's parent -1 reads new_id[-1]
+    order = np.concatenate(levels)
+    new_id = np.full(n + 1, -1, dtype=np.int64)
+    new_id[order] = np.arange(n)
+    depth = depth[order]
+    gaps = np.flatnonzero((n_kids[order] == 0) & (depth < truncation_depth))
+    return Tree(parent=new_id[parent[order]], depth=depth, truncation_depth=int(truncation_depth),
+                names=None if names is None else tuple(map(names.__getitem__, order.tolist())),
+                terminal_gaps=tuple(gaps.tolist()), level_start=np.cumsum(sizes, dtype=np.int64))
 
 
 def bary_vertex_count(branching: int, depth: int, branch_until: int | None = None,
@@ -177,15 +186,18 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None,
     width = branching ** bu
     v = np.arange(n, dtype=np.int64)
     parent = np.where(v < n - (depth - bu) * width, (v - 1) // branching, v - width)
-    return _assemble(parent, names=None, truncation_depth=depth)
+    widths = branching ** np.minimum(np.arange(depth + 1, dtype=np.int64), bu)
+    return Tree(parent=parent, depth=np.repeat(np.arange(depth + 1, dtype=np.int64), widths),
+                truncation_depth=depth, names=None, terminal_gaps=(),
+                level_start=np.cumsum(np.append(0, widths)))
 
 
 def load_tree(document: Mapping) -> Tree:
     """Build a tree from a ``{"vertices": [{"id", "parent"}, ...]}`` document.
 
     The root is the unique entry with a null parent. Vertex ids are assigned
-    in document order with the root first. Internal vertices without children
-    are accepted but recorded in ``terminal_gaps``.
+    in canonical level order, siblings in document order. Internal vertices
+    without children are accepted but recorded in ``terminal_gaps``.
     """
     if not isinstance(document, Mapping) or "vertices" not in document:
         raise DocumentError('tree document must be an object with a "vertices" array')
@@ -197,7 +209,9 @@ def load_tree(document: Mapping) -> Tree:
     parents: list[str | None] = []
     seen: dict[str, int] = {}
     for i, entry in enumerate(entries):
-        if not isinstance(entry, Mapping) or "id" not in entry or "parent" not in entry:
+        # the exact-type test spares JSON objects the slow ABC check
+        if (type(entry) is not dict and not isinstance(entry, Mapping)
+                or "id" not in entry or "parent" not in entry):
             raise DocumentError(f'tree document vertex #{i} must carry "id" and "parent" fields')
         vid, par = entry["id"], entry["parent"]
         if not isinstance(vid, str):
@@ -215,19 +229,13 @@ def load_tree(document: Mapping) -> Tree:
         raise DocumentError("no root: every vertex names a parent")
     if len(roots) > 1:
         raise DocumentError(f"multiple roots: '{ids[roots[0]]}' and '{ids[roots[1]]}'")
-    root = roots[0]
 
     for vid, par in zip(ids, parents):
         if par is not None and par not in seen:
             raise DocumentError(f"vertex '{vid}' references unknown parent '{par}'")
 
-    # ids keep document order with the root moved to the front; the root's
-    # null parent stands in as the root itself until it is set to -1
-    order = np.concatenate(([root], np.delete(np.arange(len(ids)), root)))
-    new_id = np.argsort(order)
-    parent_arr = new_id[[seen.get(par, root) for par in parents]][order]
-    parent_arr[0] = -1
-    return _assemble(parent_arr, names=tuple(ids[i] for i in order.tolist()))
+    parent = np.array([seen.get(par, -1) for par in parents], dtype=np.int64)
+    return _assemble(parent, names=tuple(ids))
 
 
 def dump_tree(tree: Tree) -> dict:
@@ -245,14 +253,38 @@ def table_values(tree: Tree, document: Mapping, what: str, field: str) -> list:
     if not isinstance(table, Mapping):
         raise DocumentError(f'{what} document field "{field}" must be an object')
     names = tree.vertex_names()
+    try:  # one lookup per vertex when the table is right
+        values = [table[name] for name in names]
+        if len(table) == len(names):
+            return values
+    except KeyError:
+        pass
     missing = [name for name in names if name not in table]
     if len(table) > len(names) - len(missing):
         known = set(names)
         unknown = next(k for k in table if k not in known)
         raise DocumentError(f"{what} document names unknown vertex '{unknown}'")
-    if missing:
-        raise DocumentError(f"{what} document is missing vertex '{missing[0]}'")
-    return [table[name] for name in names]
+    raise DocumentError(f"{what} document is missing vertex '{missing[0]}'")
+
+
+def document_real(value, what: str) -> float:
+    """``value``, a number read from a document, as a float; ``what`` names
+    it in the error. Booleans, non-numbers and integers beyond the
+    floating-point range are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DocumentError(f"{what} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise DocumentError(f"{what} is beyond the floating-point range") from None
+
+
+def document_int(value, what: str, low: int = 0) -> int:
+    """``value``, an integer of at least ``low`` read from a document;
+    ``what`` names it in the error. Booleans and non-integers are refused."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise DocumentError(f"{what} must be an integer >= {low}, got {value!r}")
+    return value
 
 
 def distance(tree: Tree, u: VertexId, v: VertexId) -> int:
@@ -287,35 +319,23 @@ def vertices_at_level(tree: Tree, n: int) -> np.ndarray:
         raise ValueError("level must be >= 0")
     if n > tree.truncation_depth:
         return np.empty(0, dtype=np.int64)
-    return tree.levels[n]
-
-
-def kept_vertices(tree: Tree, new_depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(keep, remap)``: vertex ``i`` of ``truncate(tree, new_depth)`` is
-    vertex ``keep[i]`` of ``tree`` (the vertices of depth at most
-    ``new_depth``, ascending), and ``remap`` inverts ``keep``, -1 elsewhere."""
-    keep = np.flatnonzero(tree.depth <= new_depth)
-    remap = np.full(len(tree), -1, dtype=np.int64)
-    remap[keep] = np.arange(keep.size, dtype=np.int64)
-    return keep, remap
+    return np.arange(tree.level_start[n], tree.level_start[n + 1], dtype=np.int64)
 
 
 def truncate(tree: Tree, new_depth: int) -> Tree:
-    """Restrict the stored truncation to depth ``new_depth``. Kept vertices
-    keep their id order, and every child of a kept vertex above the new
-    frontier is kept, so levels and terminal gaps carry over."""
+    """Restrict the stored truncation to depth ``new_depth``: the vertices of
+    depth at most ``new_depth`` are an id prefix, so the arrays of the result
+    are read-only prefix views of the arrays of ``tree``."""
     new_depth = int(new_depth)
     if not 0 <= new_depth <= tree.truncation_depth:
         raise ValueError(
             f"truncation depth {new_depth} outside [0, {tree.truncation_depth}]")
     if new_depth == tree.truncation_depth:
         return tree
-    keep, remap = kept_vertices(tree, new_depth)
-    parent = remap[tree.parent[keep]]
-    parent[0] = -1  # the root's -1 indexed the last vertex
-    gaps = np.asarray(tree.terminal_gaps, dtype=np.int64)
-    gaps = remap[gaps[tree.depth[gaps] < new_depth]]
-    names = None if tree.names is None else tuple(tree.names[v] for v in keep.tolist())
-    return Tree(parent=parent, depth=tree.depth[keep], truncation_depth=new_depth, names=names,
-                terminal_gaps=tuple(gaps.tolist()),
-                levels=tuple(remap[level] for level in tree.levels[:new_depth + 1]))
+    n = int(tree.level_start[new_depth + 1])
+    # a kept vertex above the new frontier keeps all its children, so the
+    # gaps are the old ones above the new frontier
+    gaps = tree.terminal_gaps[:bisect.bisect_left(tree.terminal_gaps, tree.level_start[new_depth])]
+    return Tree(parent=tree.parent[:n], depth=tree.depth[:n], truncation_depth=new_depth,
+                names=None if tree.names is None else tree.names[:n], terminal_gaps=gaps,
+                level_start=tree.level_start[:new_depth + 2])

@@ -12,7 +12,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, table_values
+from .tree import Tree, document_real, table_values
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,7 +42,7 @@ def _validated(tree: Tree, values: np.ndarray, family: str,
 def constant_weight(tree: Tree, c: float) -> Weight:
     c = float(c)
     if not np.isfinite(c) or c <= 0.0:
-        raise ValueError(f"constant weight must be a finite positive real, got {c!r}")
+        raise DocumentError(f"constant weight must be a finite positive real, got {c!r}")
     return _validated(tree, np.full(len(tree), c), "constant", {"value": c})
 
 
@@ -56,7 +56,7 @@ def geometric_weight(tree: Tree, ratio: float) -> Weight:
     growing weights for ratio > 1."""
     ratio = float(ratio)
     if not np.isfinite(ratio) or ratio <= 0.0:
-        raise ValueError(f"geometric ratio must be a finite positive real, got {ratio!r}")
+        raise DocumentError(f"geometric ratio must be a finite positive real, got {ratio!r}")
     return _validated(tree, float(ratio) ** tree.depth.astype(np.float64),
                       "geometric", {"ratio": ratio})
 
@@ -78,20 +78,19 @@ def load_weight(tree: Tree, document: Mapping) -> Weight:
         if family == "constant":
             if "value" not in params:
                 raise DocumentError('constant weight needs params.value')
-            return constant_weight(tree, params["value"])
+            return constant_weight(tree, document_real(params["value"], "constant weight params.value"))
         if family == "reciprocal_depth":
             return reciprocal_depth_weight(tree)
         if family == "geometric":
             if "ratio" not in params:
                 raise DocumentError('geometric weight needs params.ratio')
-            return geometric_weight(tree, params["ratio"])
+            return geometric_weight(tree, document_real(params["ratio"], "geometric weight params.ratio"))
         raise DocumentError(f"unknown weight family '{family}'")
     if "weights" in document:
         raw = table_values(tree, document, "weight", "weights")
         for v, value in enumerate(raw):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise DocumentError(
-                    f"weight at vertex '{tree.name_of(v)}' must be a number, got {value!r}")
+            if type(value) is not float:  # floats, most of a JSON table, need no check
+                document_real(value, f"weight at vertex '{tree.name_of(v)}'")
         return _validated(tree, np.array(raw, dtype=np.float64), "custom", None)
     raise DocumentError('weight document needs a "family" or a "weights" field')
 

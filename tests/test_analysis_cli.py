@@ -334,3 +334,51 @@ def test_json_documents_are_parsed_strictly(tmp_path, text, message):
 def test_tolerances_must_be_finite_positive_numbers(tolerances):
     with pytest.raises(DocumentError, match="must be finite positive numbers"):
         parse_analysis_spec(base_doc(tolerances=tolerances))
+
+
+def test_tied_ratio_witness_is_the_first_vertex_in_level_order(tmp_path):
+    # weight 2**depth and the parent map tie every non-root ratio at 2; the
+    # witness is the first of them in level order, the root's first child in
+    # document order (document order alone would give the first non-root entry)
+    doc = shuffled_tree_files(tmp_path) | {
+        "weight": {"family": "geometric", "params": {"ratio": 2}},
+        "map": {"builtin": "parent"}, "depth_ladder": [4]}
+    entry = run_analyze(read_analysis_spec(write_spec(tmp_path, doc)))["entries"][0]
+    vertices = json.loads((tmp_path / "tree.json").read_text())["vertices"]
+    root = next(v["id"] for v in vertices if v["parent"] is None)
+    first_child = next(v["id"] for v in vertices if v["parent"] == root)
+    assert entry["boundedness"]["ratio_sup"] == "2"
+    assert entry["boundedness"]["ratio_sup_witness"] == first_child == "x9"
+
+
+BIG = 10 ** 400  # an exact JSON integer beyond the floating-point range
+
+
+@pytest.mark.parametrize("overrides", [
+    {"p": BIG},
+    {"schatten_exponents": [1, BIG]},
+    {"tolerances": {"isometry_ratio": BIG}},
+    {"weight": {"family": "constant", "params": {"value": BIG}}},
+    {"weight": {"family": "geometric", "params": {"ratio": BIG}}},
+    {"weight": {"weights": {"0": 1.0, "1": BIG, "2": 1.0}}},
+    {"weight": {"family": "constant", "params": {"value": [1]}}},
+    {"map": {"builtin": "level_shift", "params": {"k": "1e400"}}},
+    {"map": {"builtin": "level_shift", "params": {"k": [1]}}},
+    {"map": {"builtin": "level_shift", "params": {"k": 1.5}}},
+    {"map": {"builtin": "level_shift", "params": {"k": True}}},
+    {"tree": {"generator": "bary", "branching": 2, "branch_until": True}},
+], ids=["p", "schatten_exponent", "tolerance", "constant_value", "geometric_ratio",
+        "weights_entry", "constant_value_list", "k_overflowing_float", "k_list", "k_fraction",
+        "k_boolean", "branch_until_boolean"])
+def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
+    # numbers beyond the float range, non-numbers, and booleans or fractions
+    # in integer fields are input errors (exit 2), not crashes (exit 1)
+    assert main(["spectrum", write_spec(tmp_path, base_doc(depth_ladder=[1]), "ok.json")]) == 0
+    capsys.readouterr()
+    text = json.dumps(base_doc(depth_ladder=[1]) | overrides).replace('"1e400"', "1e400")
+    path = tmp_path / "spec.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["spectrum", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    with pytest.raises(DocumentError):
+        run_spectrum(read_analysis_spec(path))

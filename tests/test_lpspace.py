@@ -137,7 +137,7 @@ def test_projection_equality_cases():
     t = w.tree
     f = basis_vector(w, 0, 2.0)  # supported at the root
     assert norm_p(project(t, f, 0), w, 2.0) == pytest.approx(1.0)
-    frontier = int(t.levels[t.truncation_depth][0])
+    frontier = int(t.level_start[t.truncation_depth])
     g = basis_vector(w, frontier, 2.0)  # unsupported below the frontier
     assert norm_p(g - project(t, g, 0), w, 2.0) == pytest.approx(1.0)
 

@@ -62,7 +62,7 @@ def test_depth_square_map_structure():
     # root and the whole first level are fixed; nothing else is
     level1 = {int(v) for v in vertices_at_level(t, 1)}
     assert set(prof.fixed_points) == {0} | level1
-    assert prof.domain_size == sum(len(t.levels[n]) for n in range(4))
+    assert prof.domain_size == t.level_start[4] == sum(len(vertices_at_level(t, n)) for n in range(4))
     # the i-th depth-3 vertex lands on the i-th depth-9 vertex
     src = vertices_at_level(t, 3)
     dst = vertices_at_level(t, 9)

@@ -1,4 +1,5 @@
 import time
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectree import DocumentError, build_bary, distance, dump_tree, load_tree, truncate, vertices_at_level
-from spectree.tree import _assemble, bary_vertex_count, kept_vertices
+from spectree.tree import _assemble, bary_vertex_count
 
 
 def degree(tree, v):
@@ -16,7 +17,7 @@ def degree(tree, v):
 def test_binary_depth_three_counts():
     t = build_bary(2, 3)
     assert len(t) == 15
-    assert [len(lvl) for lvl in t.levels] == [1, 2, 4, 8]
+    assert np.diff(t.level_start).tolist() == [1, 2, 4, 8]
     assert vertices_at_level(t, 3).size == 8
 
 
@@ -44,7 +45,7 @@ def test_zero_branching_rejected():
 
 def test_branch_until_tapers_the_frontier():
     t = build_bary(2, 6, branch_until=2)
-    assert [len(lvl) for lvl in t.levels] == [1, 2, 4, 4, 4, 4, 4]
+    assert np.diff(t.level_start).tolist() == [1, 2, 4, 4, 4, 4, 4]
     assert t.terminal_gaps == ()
     # chains preserve the level-wise ancestry
     for v in vertices_at_level(t, 6):
@@ -92,7 +93,7 @@ def test_parent_is_one_level_up():
 def test_level_sizes_sum_to_vertex_count():
     for b, d in ((1, 6), (2, 4), (3, 3)):
         t = build_bary(b, d)
-        assert sum(len(lvl) for lvl in t.levels) == len(t)
+        assert sum(len(vertices_at_level(t, n)) for n in range(d + 1)) == t.level_start[-1] == len(t)
 
 
 def test_load_three_vertex_path():
@@ -132,7 +133,7 @@ def test_load_depth_profile_example():
         {"id": "c", "parent": "a"},
     ]})
     assert len(t) == 4
-    assert [len(lvl) for lvl in t.levels] == [1, 2, 1]
+    assert np.diff(t.level_start).tolist() == [1, 2, 1]
     # b is shallower than the frontier and childless: flagged, not rejected
     assert t.terminal_gaps == (2,)
     assert t.name_of(2) == "b"
@@ -164,13 +165,20 @@ def test_root_is_reordered_first():
     assert t.names == ("r", "a", "b")
 
 
+def test_load_accepts_any_mapping_as_a_vertex_entry():
+    entries = [MappingProxyType({"id": "r", "parent": None}), {"id": "a", "parent": "r"}]
+    assert load_tree({"vertices": entries}).names == ("r", "a")
+    with pytest.raises(DocumentError, match="vertex #1"):
+        load_tree({"vertices": [{"id": "r", "parent": None}, ["a", "r"]]})
+
+
 def test_serialization_round_trip_is_isomorphic():
     for b, d in ((1, 5), (2, 3), (3, 2)):
         t = build_bary(b, d)
         u = load_tree(dump_tree(t))
         assert np.array_equal(t.parent, u.parent)
         assert np.array_equal(t.depth, u.depth)
-        assert [list(lvl) for lvl in t.levels] == [list(lvl) for lvl in u.levels]
+        assert np.array_equal(t.level_start, u.level_start)
         assert u.truncation_depth == t.truncation_depth
 
 
@@ -241,13 +249,15 @@ def reference_assemble(parent, truncation_depth=None):
     and a per-vertex gap scan. Returns (depth, levels, terminal_gaps)."""
     parent = np.asarray(parent, dtype=np.int64)
     n = int(parent.shape[0])
+    root = int(np.flatnonzero(parent < 0)[0])
     children = [[] for _ in range(n)]
-    for v in range(1, n):
-        children[int(parent[v])].append(v)
+    for v in range(n):
+        if v != root:
+            children[int(parent[v])].append(v)
 
     depth = np.full(n, -1, dtype=np.int64)
-    depth[0] = 0
-    queue = [0]
+    depth[root] = 0
+    queue = [root]
     for v in queue:
         for c in children[v]:
             depth[c] = depth[v] + 1
@@ -263,7 +273,7 @@ def reference_assemble(parent, truncation_depth=None):
         raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
 
     rank = np.empty(n, dtype=np.int64)
-    stack = [0]
+    stack = [root]
     r = 0
     while stack:
         v = stack.pop()
@@ -279,10 +289,11 @@ def reference_assemble(parent, truncation_depth=None):
 
 @st.composite
 def parent_arrays(draw, cycles=True):
-    """Random trees with shuffled ids (the root stays 0): each vertex either
-    continues a single-child chain or hangs off a random earlier vertex, so
-    terminal gaps are common. With ``cycles``, one vertex may be re-parented
-    onto its own subtree, which cuts that subtree off from the root."""
+    """Random trees with shuffled ids, the root's included: each vertex
+    either continues a single-child chain or hangs off a random earlier
+    vertex, so terminal gaps are common. With ``cycles``, one vertex may be
+    re-parented onto its own subtree, which cuts that subtree off from the
+    root."""
     n = draw(st.integers(1, 40))
     picks = draw(st.lists(st.integers(0, 2 ** 16), min_size=n - 1, max_size=n - 1))
     parent = [-1] + [v - 1 if pick % 3 == 0 else pick % v
@@ -291,7 +302,7 @@ def parent_arrays(draw, cycles=True):
         v = draw(st.integers(1, n - 1))
         subtree = [w for w in range(v, n) if w == v or _has_ancestor(parent, w, v)]
         parent[v] = draw(st.sampled_from(subtree))
-    new_id = [0] + draw(st.permutations(range(1, n)))
+    new_id = draw(st.permutations(range(n)))
     relabeled = np.empty(n, dtype=np.int64)
     for v in range(n):
         relabeled[new_id[v]] = -1 if v == 0 else new_id[parent[v]]
@@ -305,21 +316,52 @@ def _has_ancestor(parent, w, v):
     return w == v
 
 
+def _int64_read_only(tree):
+    return all(a.dtype == np.int64 and not a.flags.writeable
+               for a in (tree.parent, tree.depth, tree.level_start))
+
+
 @given(parent_arrays())
 def test_assembly_matches_the_pure_python_reference(case):
     parent, truncation_depth = case
+    # names carry the input ids through the renumbering into level order
+    names = tuple(str(v) for v in range(len(parent)))
     try:
         depth, levels, gaps = reference_assemble(parent, truncation_depth)
     except (DocumentError, ValueError) as exc:
-        with pytest.raises(type(exc)) as raised:
-            _assemble(parent, None, truncation_depth)
-        assert str(raised.value) == str(exc)
+        for given_names in (None, names):
+            with pytest.raises(type(exc)) as raised:
+                _assemble(parent, given_names, truncation_depth)
+            assert str(raised.value) == str(exc)
         return
-    t = _assemble(parent, None, truncation_depth)
-    assert np.array_equal(t.depth, depth)
-    assert [list(lvl) for lvl in t.levels] == [list(lvl) for lvl in levels]
-    assert t.terminal_gaps == gaps
-    assert all(lvl.dtype == np.int64 and not lvl.flags.writeable for lvl in t.levels)
+    t = _assemble(parent, names, truncation_depth)
+    old = np.array([int(name) for name in t.names], dtype=np.int64)  # input id of each new id
+    assert [list(old[t.level_start[k]:t.level_start[k + 1]]) for k in range(len(levels))] \
+        == [list(lvl) for lvl in levels]
+    assert len(t.level_start) == len(levels) + 1 and t.level_start[-1] == len(t)
+    assert np.array_equal(t.depth, depth[old])
+    assert t.parent[0] == -1 and parent[old[0]] == -1
+    assert np.array_equal(old[t.parent[1:]], parent[old[1:]])
+    assert tuple(sorted(old[list(t.terminal_gaps)].tolist())) == gaps
+    assert list(t.terminal_gaps) == sorted(t.terminal_gaps)
+    assert _int64_read_only(t)
+    unnamed = _assemble(parent, None, truncation_depth)
+    assert unnamed.names is None and unnamed.terminal_gaps == t.terminal_gaps
+    for field in ("parent", "depth", "level_start"):
+        assert np.array_equal(getattr(unnamed, field), getattr(t, field))
+
+
+def test_build_bary_matches_the_assembly_of_its_parent_array():
+    for b in range(1, 5):
+        for d in range(7):
+            for bu in (None, 0, 1, 2, 4, 9):
+                t = build_bary(b, d, bu)
+                u = _assemble(t.parent, None, d)
+                for field in ("parent", "depth", "level_start"):
+                    assert np.array_equal(getattr(t, field), getattr(u, field))
+                assert (t.truncation_depth, t.names, t.terminal_gaps) \
+                    == (u.truncation_depth, u.names, u.terminal_gaps) == (d, None, ())
+                assert _int64_read_only(t)
 
 
 def reference_truncate(tree, new_depth):
@@ -349,11 +391,12 @@ def test_truncate_matches_reassembly(case, named, data):
     assert got.truncation_depth == want.truncation_depth == new_depth
     assert np.array_equal(got.parent, want.parent)
     assert np.array_equal(got.depth, want.depth)
-    assert [list(lvl) for lvl in got.levels] == [list(lvl) for lvl in want.levels]
+    assert np.array_equal(got.level_start, want.level_start)
     assert got.terminal_gaps == want.terminal_gaps
     assert got.names == want.names
-    arrays = (got.parent, got.depth) + got.levels
-    assert all(a.dtype == np.int64 and not a.flags.writeable for a in arrays)
-    keep, remap = kept_vertices(tree, new_depth)
-    assert np.array_equal(remap[keep], np.arange(len(got)))
-    assert np.array_equal(tree.depth[keep], got.depth)
+    assert _int64_read_only(got)
+    # the kept vertices are an id prefix, and the result views its arrays
+    assert np.array_equal(np.flatnonzero(tree.depth <= new_depth), np.arange(len(got)))
+    if new_depth < tree.truncation_depth:
+        for field in ("parent", "depth", "level_start"):
+            assert np.shares_memory(getattr(got, field), getattr(tree, field))
