@@ -44,7 +44,32 @@ def real_str(x: float) -> str:
 
 
 def report_json(report: Mapping) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _indented(report, "") + "\n"
+
+
+_CONTAINERS = (dict, list, tuple)
+
+
+def _indented(value, outer: str) -> str:
+    # json.dumps(value, indent=2, sort_keys=True) at indentation ``outer``, for
+    # string keys. Any indent makes json use its pure-Python encoder, so only
+    # the nesting is written here; containers of scalars go to the C encoder.
+    if not isinstance(value, _CONTAINERS):
+        return json.dumps(value)
+    is_dict, pad = isinstance(value, dict), outer + "  "
+    opening, closing = "{}" if is_dict else "[]"
+    if not value:
+        return opening + closing
+    members = value.values() if is_dict else value
+    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, members))):
+        body = json.dumps(value, sort_keys=True, separators=(",\n" + pad, ": "))[1:-1]
+    elif is_dict:
+        body = (",\n" + pad).join(f"{json.dumps(k)}: {_indented(v, pad)}"
+                                  for k, v in sorted(value.items()))
+    else:
+        body = (",\n" + pad).join(_indented(v, pad) for v in value)
+    return f"{opening}\n{pad}{body}\n{outer}{closing}"
 
 
 @dataclass(frozen=True)
@@ -132,8 +157,8 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     if isinstance(exponents, (str, bytes)) or not isinstance(exponents, Sequence) or not exponents:
         raise DocumentError('analysis spec: "schatten_exponents" must be a non-empty array')
     qs = [document_real(q, "analysis spec: Schatten exponent") for q in exponents]
-    if not all(q >= 1.0 for q in qs):
-        raise DocumentError('analysis spec: Schatten exponents must be numbers >= 1')
+    if not all(1.0 <= q < math.inf for q in qs):
+        raise DocumentError('analysis spec: Schatten exponents must be finite numbers >= 1')
 
     seed = document_int(document.get("seed", 0), 'analysis spec: "seed"')
 

@@ -181,81 +181,47 @@ def dump_map(symbol: SelfMap) -> dict:
         return doc
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
-    names = symbol.tree.vertex_names()
-    return {"map": {names[v]: names[w] for v, w in enumerate(symbol.image.tolist())}}
+    # rows in name order: writers sort the keys, and sorted input sorts fastest
+    order = symbol.tree.name_order
+    column = np.array(symbol.tree.vertex_names(), dtype=object)
+    return {"map": dict(zip(column[order].tolist(), column[symbol.image[order]].tolist()))}
 
 
-def _pair_greedily(lam: np.ndarray, source_order: np.ndarray,
-                   target_order: np.ndarray, admissible) -> list[tuple[int, int]]:
-    # both orders already encode "best pairs first"; a vertex is consumed by
-    # its first use in either role so the matched pairs stay disjoint
-    n = lam.shape[0]
-    used = np.zeros(n, dtype=bool)
-    pairs: list[tuple[int, int]] = []
-    ti = 0
-    for s in source_order:
-        s = int(s)
-        if used[s]:
-            continue
-        while ti < n and (used[target_order[ti]] or int(target_order[ti]) == s):
-            ti += 1
-        if ti >= n:
-            break
-        t = int(target_order[ti])
-        if not admissible(lam[s], lam[t]):
-            # orders are monotone in weight, so no later source can do better
-            break
-        used[s] = True
-        used[t] = True
-        pairs.append((s, t))
-    return pairs
-
-
-def _swap_map(tree: Tree, pairs: list[tuple[int, int]], label: str) -> SelfMap:
-    # matched pairs become 2-cycles and everything else stays fixed, so the
-    # patched map is a permutation and injectivity holds by construction
+def _swap_prefix(tree: Tree, weight: Weight, admissible, label: str) -> SelfMap | None:
+    # swap the i-th heaviest and i-th lightest vertex (ties by id) for each i
+    # before the first inadmissible pair. Admissible pairs have lt < ls, so
+    # their vertices are all distinct and the map is a permutation; the last
+    # pair (lightest, heaviest) never is, so argmin finds a False.
+    lam = weight.values
+    heavy, light = np.argsort(-lam, kind="stable"), np.argsort(lam, kind="stable")
+    with np.errstate(over="ignore"):  # a square past the float range is inf and compares right
+        k = int(np.argmin(admissible(lam[heavy], lam[light])))
+    if k == 0:
+        return None
     image = np.arange(len(tree), dtype=np.int64)
-    for s, t in pairs:
-        image[s] = t
-        image[t] = s
-    return SelfMap(tree, image, label=label, params={"pair_count": len(pairs)})
+    image[heavy[:k]] = light[:k]
+    image[light[:k]] = heavy[:k]
+    return SelfMap(tree, image, label=label, params={"pair_count": k})
 
 
 def adversary_unbounded(tree: Tree, weight: Weight) -> SelfMap | None:
-    """Injective symbol witnessing an unbounded weight.
-
-    Greedily matches heavy vertices s to light vertices t with
-    weight(s) > weight(t)**2 and weight(s) > weight(t), heaviest sources and
-    lightest targets first, so the achieved ratio sup is maximal for this
-    pairing scheme. Returns None when no pair shows genuine spread (then
-    every candidate ratio is at most 1, no better than the identity).
+    """Injective symbol witnessing an unbounded weight: it swaps the i-th
+    heaviest with the i-th lightest, up to the first inadmissible pair, where
+    heavy s and light t are admissible when weight(s) > weight(t)**2 and
+    weight(s) > weight(t). Returns None when no pair shows genuine spread
+    (then every candidate ratio is at most 1, no better than the identity).
     """
-    lam = weight.values
-    ids = np.arange(len(tree))
-    source_order = np.lexsort((ids, -lam))
-    target_order = np.lexsort((ids, lam))
-    pairs = _pair_greedily(lam, source_order, target_order,
-                           lambda ls, lt: lt * lt < ls and lt < ls)
-    if not pairs:
-        return None
-    return _swap_map(tree, pairs, "adversary_unbounded")
+    return _swap_prefix(tree, weight, lambda ls, lt: (lt * lt < ls) & (lt < ls),
+                        "adversary_unbounded")
 
 
 def adversary_vanishing(tree: Tree, weight: Weight) -> SelfMap | None:
-    """Injective symbol witnessing a weight not bounded away from zero.
-
-    Dual construction: light targets u are claimed first and matched to the
-    heaviest admissible source v with weight(u) < weight(v)**2 and
-    weight(u) < weight(v), so each ratio weight(v)/weight(u) exceeds
-    1/weight(v). Returns None when no such pair exists.
+    """Injective symbol witnessing a weight not bounded away from zero, dual
+    to :func:`adversary_unbounded`: it swaps the i-th heaviest with the i-th
+    lightest, up to the first inadmissible pair, where light u and heavy v
+    are admissible when weight(u) < weight(v)**2 and weight(u) < weight(v),
+    so each ratio weight(v)/weight(u) exceeds 1/weight(v). Returns None when
+    no such pair exists.
     """
-    lam = weight.values
-    ids = np.arange(len(tree))
-    target_order = np.lexsort((ids, lam))
-    source_order = np.lexsort((ids, -lam))
-    # the roles swap: light targets claim heavy sources; _swap_map is symmetric
-    pairs = _pair_greedily(lam, target_order, source_order,
-                           lambda lt, ls: lt < ls * ls and lt < ls)
-    if not pairs:
-        return None
-    return _swap_map(tree, pairs, "adversary_vanishing")
+    return _swap_prefix(tree, weight, lambda ls, lt: (lt < ls * ls) & (lt < ls),
+                        "adversary_vanishing")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,6 +70,14 @@ class Tree:
     def vertex_names(self) -> Sequence[str]:
         """``name_of`` every vertex, in id order."""
         return self.names if self.names is not None else [str(v) for v in range(len(self))]
+
+    @cached_property
+    def name_order(self) -> np.ndarray:
+        """Vertex ids by ascending ``name_of``, sorted on first use; read-only."""
+        names = self.vertex_names()  # a numpy string array would be len(self) x longest name
+        order = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int64)
+        order.setflags(write=False)
+        return order
 
 
 def _check_vertex(tree: Tree, v: int) -> int:

@@ -4,9 +4,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from spectree import DocumentError, build_bary, dump_tree
-from spectree.analysis import (parse_analysis_spec, read_analysis_spec,
+from spectree import (DocumentError, adversary_unbounded, build_bary, dump_map, dump_tree,
+                      load_map, load_tree, load_weight)
+from spectree.analysis import (parse_analysis_spec, read_analysis_spec, report_json,
                                run_adversary, run_analyze, run_spectrum, spectrum_csv)
 from spectree.cli import main
 
@@ -251,8 +254,11 @@ def assert_ladder_is_per_depth(tmp_path, doc, ladder):
     gives, for analyze, spectrum and adversary."""
     def run_all(depths, name):
         spec = read_analysis_spec(write_spec(tmp_path, doc | {"depth_ladder": depths}, name))
-        report, values = run_spectrum(spec)
-        return run_analyze(spec), report, values, run_adversary(spec)
+        analyzed, (spectrum, values), adversaries = (
+            run_analyze(spec), run_spectrum(spec), run_adversary(spec))
+        for report in (analyzed, spectrum, adversaries):
+            assert report_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return analyzed, spectrum, values, adversaries
 
     analyzed, spectra, values, adversaries = run_all(ladder, "ladder.json")
     for i, depth in enumerate(ladder):
@@ -279,6 +285,33 @@ def test_generated_ladder_matches_one_run_per_depth(tmp_path):
     geometric = base_doc(weight={"family": "geometric", "params": {"ratio": 0.5}},
                          map={"builtin": "level_shift", "params": {"k": 2}})
     assert_ladder_is_per_depth(tmp_path, geometric, [0, 2, 3])
+
+
+def test_map_tables_are_written_in_name_order(tmp_path):
+    shuffled_tree_files(tmp_path)
+    tree = load_tree(json.loads((tmp_path / "tree.json").read_text()))
+    weight = load_weight(tree, json.loads((tmp_path / "weight.json").read_text()))
+    custom = load_map(tree, json.loads((tmp_path / "map.json").read_text()))
+    for symbol in (adversary_unbounded(tree, weight), custom):
+        table = dump_map(symbol)["map"]
+        assert list(table) == sorted(tree.vertex_names()) != list(tree.vertex_names())
+        assert list(table).index("x10") < list(table).index("x9")
+        assert np.array_equal(load_map(tree, dump_map(symbol)).image, symbol.image)
+
+
+_KEYS = st.text() | st.sampled_from(["", "\"", "\\", "\n\t\x00\x1f", "\u00e9", "\U0001f333", "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text() | st.floats()
+            | st.sampled_from([-0.0, 1e300, math.nan, math.inf, -math.inf]))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_KEYS, inner, max_size=4)),
+    max_leaves=40)
+
+
+@given(_JSON_VALUES)
+def test_report_writer_matches_indented_json_dumps(value):
+    assert report_json(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
 def test_tables_naming_unknown_vertices_are_rejected(tmp_path, capsys):
@@ -357,6 +390,7 @@ BIG = 10 ** 400  # an exact JSON integer beyond the floating-point range
 @pytest.mark.parametrize("overrides", [
     {"p": BIG},
     {"schatten_exponents": [1, BIG]},
+    {"schatten_exponents": ["1e400"]},
     {"tolerances": {"isometry_ratio": BIG}},
     {"weight": {"family": "constant", "params": {"value": BIG}}},
     {"weight": {"family": "geometric", "params": {"ratio": BIG}}},
@@ -367,9 +401,9 @@ BIG = 10 ** 400  # an exact JSON integer beyond the floating-point range
     {"map": {"builtin": "level_shift", "params": {"k": 1.5}}},
     {"map": {"builtin": "level_shift", "params": {"k": True}}},
     {"tree": {"generator": "bary", "branching": 2, "branch_until": True}},
-], ids=["p", "schatten_exponent", "tolerance", "constant_value", "geometric_ratio",
-        "weights_entry", "constant_value_list", "k_overflowing_float", "k_list", "k_fraction",
-        "k_boolean", "branch_until_boolean"])
+], ids=["p", "schatten_exponent", "schatten_exponent_overflowing_float", "tolerance",
+        "constant_value", "geometric_ratio", "weights_entry", "constant_value_list",
+        "k_overflowing_float", "k_list", "k_fraction", "k_boolean", "branch_until_boolean"])
 def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
     # numbers beyond the float range, non-numbers, and booleans or fractions
     # in integer fields are input errors (exit 2), not crashes (exit 1)

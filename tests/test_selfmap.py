@@ -1,4 +1,5 @@
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -247,3 +248,88 @@ def test_profile_and_isometry_witnesses_match_the_dict_reference(shape, data):
     assert verdict.frontier_only_misses == (
         not verdict.is_isometry and bool(misses)
         and all(int(t.depth[u]) == t.truncation_depth for u in misses))
+
+
+def _reference_pair_greedily(lam, source_order, target_order, admissible):
+    # both orders already encode "best pairs first"; a vertex is consumed by
+    # its first use in either role so the matched pairs stay disjoint
+    n = lam.shape[0]
+    used = np.zeros(n, dtype=bool)
+    pairs = []
+    ti = 0
+    for s in source_order:
+        s = int(s)
+        if used[s]:
+            continue
+        while ti < n and (used[target_order[ti]] or int(target_order[ti]) == s):
+            ti += 1
+        if ti >= n:
+            break
+        t = int(target_order[ti])
+        if not admissible(lam[s], lam[t]):
+            # orders are monotone in weight, so no later source can do better
+            break
+        used[s] = True
+        used[t] = True
+        pairs.append((s, t))
+    return pairs
+
+
+def reference_adversary(tree, weight, label):
+    """The greedy per-vertex pairing both adversaries were first written
+    with: heavy sources and light targets in ``lexsort`` order, a vertex
+    used at most once, stopping at the first inadmissible pair."""
+    lam = weight.values
+    ids = np.arange(len(tree))
+    if label == "adversary_unbounded":
+        source_order = np.lexsort((ids, -lam))
+        target_order = np.lexsort((ids, lam))
+        pairs = _reference_pair_greedily(lam, source_order, target_order,
+                                         lambda ls, lt: lt * lt < ls and lt < ls)
+    else:
+        target_order = np.lexsort((ids, lam))
+        source_order = np.lexsort((ids, -lam))
+        pairs = _reference_pair_greedily(lam, target_order, source_order,
+                                         lambda lt, ls: lt < ls * ls and lt < ls)
+    if not pairs:
+        return None
+    image = np.arange(len(tree), dtype=np.int64)
+    for s, t in pairs:
+        image[s] = t
+        image[t] = s
+    return SelfMap(tree, image, label=label, params={"pair_count": len(pairs)})
+
+
+@given(st.integers(1, 3), st.integers(0, 5),
+       st.sampled_from(["three_values", "log_uniform", "constant"]), st.data())
+def test_adversaries_match_the_greedy_reference(branching, depth, kind, data):
+    t = build_bary(branching, depth)
+    n = len(t)
+    if kind == "three_values":  # many ties, around and away from 1
+        values = data.draw(st.lists(st.sampled_from([0.1, 0.3, 0.5, 1.0, 1.5, 2.0, 4.0]),
+                                    min_size=3, max_size=3))
+        lam = data.draw(st.lists(st.sampled_from(values), min_size=n, max_size=n))
+    elif kind == "log_uniform":
+        lam = [10.0 ** e for e in data.draw(st.lists(st.floats(-3.0, 3.0), min_size=n, max_size=n))]
+    else:
+        lam = [data.draw(st.floats(1e-3, 1e3))] * n
+    w = custom_weight(t, lam)
+    for build in (adversary_unbounded, adversary_vanishing):
+        got, want = build(t, w), reference_adversary(t, w, build.__name__)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert np.array_equal(got.image, want.image)
+            assert (got.label, got.params) == (want.label, want.params)
+
+
+def test_adversaries_on_weights_whose_squares_overflow():
+    t = build_bary(2, 3)
+    w = custom_weight(t, 10.0 ** np.linspace(-300, 300, len(t))[::-1])
+    with np.errstate(over="ignore"):
+        want = [reference_adversary(t, w, label)
+                for label in ("adversary_unbounded", "adversary_vanishing")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # squares beyond the float range are no warning
+        got = [adversary_unbounded(t, w), adversary_vanishing(t, w)]
+    for g, r in zip(got, want):
+        assert np.array_equal(g.image, r.image) and g.params == r.params

@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from spectree import (OperatorSpec, build_bary, constant_weight, custom_weight,
                       isometry_check, load_map, load_tree, load_weight)
-from spectree.analysis import serialize_instance
+from spectree.analysis import report_json, serialize_instance
 from spectree.instances import random_permutation_map
 from spectree.verify import SUITES, run_verify
 
@@ -13,6 +15,7 @@ def test_all_suites_pass_on_default_seed():
     assert report["passed"]
     assert [s["name"] for s in report["suites"]] == sorted(SUITES)
     assert all(s["cases"] > 0 for s in report["suites"])
+    assert report_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
 def test_runs_are_deterministic_per_seed():
