@@ -22,8 +22,7 @@ from .compop import (OperatorSpec, boundedness_report, boundedness_trend,
                      compactness_profile, isometry_check, ratio_sup, tail_defect)
 from .errors import DocumentError
 from .schatten import SpectralReport, schatten_trend, spectral_report
-from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, analyze,
-                      dump_map, load_map)
+from .selfmap import SelfMap, adversary_unbounded, adversary_vanishing, dump_map, load_map
 from .tree import (Tree, build_bary, document_int, document_real, dump_tree, load_tree,
                    truncate)
 from .weight import Weight, dump_weight, load_weight
@@ -317,9 +316,9 @@ def run_analyze(spec: AnalysisSpec) -> dict:
     for depth in spec.depth_ladder:
         op = mat.operator_at(depth)
         tree = op.tree
-        profile = analyze(op.symbol)
-        bnd = boundedness_report(op, profile)
-        iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol, profile=profile)
+        # the isometry witness is the largest transient: build it before h is cached
+        iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
+        bnd = boundedness_report(op)
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)
         dom = op.symbol.domain
         eff_depth = int(tree.depth[dom].max()) if dom.size else -1

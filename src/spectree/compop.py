@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -34,6 +35,10 @@ TREND_INCONCLUSIVE = "inconclusive"
 
 VERDICT_COMPACT = "compact-consistent"
 VERDICT_NOT_COMPACT = "not-compact-consistent"
+
+_FINAL_FRACTION = 1.0 / 3.0  # of the compactness profile, judged for a net decrease
+_GROWTH_FACTOR = 1.5  # boundedness_trend's unbounded and plateau thresholds
+_PLATEAU_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +56,39 @@ class OperatorSpec:
         if self.symbol.tree is not self.tree:
             raise ValueError("symbol belongs to a different tree")
         object.__setattr__(self, "p", validate_exponent(self.p))
+
+    # per-operator quantities, each formed on first use; the arrays are read-only
+    @cached_property
+    def _profile(self) -> MapProfile:
+        return analyze(self.symbol)
+
+    @cached_property
+    def _h(self) -> np.ndarray:
+        return _read_only(preimage_weight(self) / self.weight.values)
+
+    @cached_property
+    def _ratio(self) -> np.ndarray:
+        """w(v) / w(symbol(v)) for each v in the symbol's domain, in domain order."""
+        dom, lam = self.symbol.domain, self.weight.values
+        return _read_only(lam[dom] / lam[self.symbol.image[dom]])
+
+    @cached_property
+    def _h_tail(self) -> np.ndarray:
+        """Entry k is the largest h(u) over the vertices at depth >= k."""
+        return _level_tail_max(self.tree.depth, self._h, self.tree.truncation_depth)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
+
+
+def _level_tail_max(depth: np.ndarray, values: np.ndarray, D: int) -> np.ndarray:
+    """Entry k, for k = 0..D, is the largest of ``values`` whose ``depth`` is
+    >= k, or 0 where there is none; ``values`` are nonnegative. Read-only."""
+    m = np.zeros(D + 1, dtype=np.float64)
+    np.maximum.at(m, depth, values)
+    return _read_only(np.maximum.accumulate(m[::-1])[::-1])
 
 
 class RatioSup(NamedTuple):
@@ -81,32 +119,30 @@ def ratio_sup(spec: OperatorSpec) -> RatioSup:
     of the operator for injective symbols; the witness vertex makes growth
     across truncation ladders auditable.
     """
-    dom = spec.symbol.domain
-    if dom.size == 0:
+    ratios = spec._ratio
+    if ratios.size == 0:
         return RatioSup(0.0, -1)
-    lam = spec.weight.values
-    ratios = lam[dom] / lam[spec.symbol.image[dom]]
     i = int(np.argmax(ratios))
-    return RatioSup(float(ratios[i]), int(dom[i]))
+    return RatioSup(float(ratios[i]), int(spec.symbol.domain[i]))
 
 
 def preimage_weight(spec: OperatorSpec) -> np.ndarray:
     """Per-vertex total weight of the preimage: sum of weight(v) over
     symbol(v) = u. Zero where the preimage is empty."""
-    acc = np.zeros(len(spec.tree), dtype=np.float64)
     dom = spec.symbol.domain
-    np.add.at(acc, spec.symbol.image[dom], spec.weight.values[dom])
-    return acc
+    return np.bincount(spec.symbol.image[dom], weights=spec.weight.values[dom],
+                       minlength=len(spec.tree))
 
 
 def preimage_ratio(spec: OperatorSpec) -> np.ndarray:
-    """Per-vertex w(preimage(u)) / w(u); the diagonal of C*C at p = 2."""
-    return preimage_weight(spec) / spec.weight.values
+    """Per-vertex w(preimage(u)) / w(u), the diagonal of C*C at p = 2; formed
+    once per operator and read-only."""
+    return spec._h
 
 
 def operator_norm(spec: OperatorSpec) -> OperatorNorm:
     """Exact operator norm on the truncation: sup_u [w(preimage(u))/w(u)]^(1/p)."""
-    r = preimage_ratio(spec)
+    r = spec._h
     u = int(np.argmax(r))
     return OperatorNorm(float(r[u] ** (1.0 / spec.p)), u)
 
@@ -130,9 +166,8 @@ class BoundednessReport:
     domain_size: int
 
 
-def boundedness_report(spec: OperatorSpec, profile: MapProfile | None = None) -> BoundednessReport:
-    if profile is None:
-        profile = analyze(spec.symbol)
+def boundedness_report(spec: OperatorSpec) -> BoundednessReport:
+    profile = spec._profile
     rs = ratio_sup(spec)
     nrm = operator_norm(spec)
     inv_p = 1.0 / spec.p
@@ -165,8 +200,7 @@ class IsometryVerdict:
     frontier_only_misses: bool
 
 
-def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12,
-                   profile: MapProfile | None = None) -> IsometryVerdict:
+def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerdict:
     """Isometry holds exactly when the symbol is a bijection of the stored
     vertex set and every weight ratio equals 1 (within ``ratio_tol``).
 
@@ -176,9 +210,7 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12,
     ``frontier_only_misses`` flags the truncation artifact where a bijection
     of the infinite tree misses stored vertices only at the frontier.
     """
-    if profile is None:
-        profile = analyze(spec.symbol)
-    tree, lam = spec.tree, spec.weight.values
+    tree, profile = spec.tree, spec._profile
     counts = profile.preimage_count
 
     def _with_witness(reason, collision=None, missed=None, ratio_v=None, witness_at=None):
@@ -197,11 +229,9 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12,
         missed = int(np.flatnonzero(counts == 0)[0])
         return _with_witness("not_surjective", missed=missed, witness_at=missed)
 
-    dom = spec.symbol.domain
-    ratios = lam[dom] / lam[spec.symbol.image[dom]]
-    off = np.abs(ratios - 1.0) > ratio_tol
+    off = np.abs(spec._ratio - 1.0) > ratio_tol
     if off.any():
-        v = int(dom[int(np.flatnonzero(off)[0])])
+        v = int(spec.symbol.domain[int(np.flatnonzero(off)[0])])
         return _with_witness("ratio_deviation", ratio_v=v,
                              witness_at=int(spec.symbol.image[v]))
     return IsometryVerdict(True, None, None, None, None, None, None, False)
@@ -222,37 +252,26 @@ class CompactnessProfile:
     frontier_cliff: bool
     max_image_depth: int
     decay_ratio: float
-    final_fraction: float
 
 
-def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1,
-                        final_fraction: float = 1.0 / 3.0) -> CompactnessProfile:
+def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> CompactnessProfile:
     """Classify the tail-supremum trend.
 
     ``compact-consistent`` requires the last entry to fall below
-    ``decay_ratio`` times the first and the final stretch of the profile to
+    ``decay_ratio`` times the first and the final third of the profile to
     show a net strict decrease (a sequence that merely plateaus at a small
     positive floor is not decaying). Profiles are step functions, so the
-    decrease is assessed across the final stretch as a whole. When the symbol
+    decrease is assessed across the final third as a whole. When the symbol
     never reaches the frontier the tail past its deepest image is exactly
     zero; ``frontier_cliff`` flags verdicts that rest on that artifact.
     """
-    tree = spec.tree
-    D = tree.truncation_depth
-    dom = spec.symbol.domain
-    m = np.zeros(D + 1, dtype=np.float64)
-    if dom.size:
-        lam = spec.weight.values
-        img = spec.symbol.image[dom]
-        np.maximum.at(m, tree.depth[img], lam[dom] / lam[img])
-        max_image_depth = int(tree.depth[img].max())
-    else:
-        max_image_depth = -1
-    s = np.maximum.accumulate(m[::-1])[::-1]
-    s.setflags(write=False)
+    D = spec.tree.truncation_depth
+    image_depth = spec.tree.depth[spec.symbol.image[spec.symbol.domain]]
+    s = _level_tail_max(image_depth, spec._ratio, D)
+    max_image_depth = int(image_depth.max()) if image_depth.size else -1
 
     s0, sD = float(s[0]), float(s[-1])
-    start = int(math.ceil(D * (1.0 - final_fraction)))
+    start = int(math.ceil(D * (1.0 - _FINAL_FRACTION)))
     if s0 == 0.0:
         consistent = True
     else:
@@ -275,7 +294,6 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1,
         frontier_cliff=cliff,
         max_image_depth=max_image_depth,
         decay_ratio=decay_ratio,
-        final_fraction=final_fraction,
     )
 
 
@@ -291,26 +309,23 @@ def tail_defect(spec: OperatorSpec, n: int, N: int) -> float:
     n, N = int(n), int(N)
     if N < 0 or n <= N:
         raise ValueError(f"tail defect requires n > N >= 0, got n={n}, N={N}")
-    r = preimage_ratio(spec)
-    mask = spec.tree.depth > n
-    if not mask.any():
+    if n >= spec.tree.truncation_depth:
         return 0.0
-    return float(r[mask].max() ** (1.0 / spec.p))
+    return float(spec._h_tail[n + 1] ** (1.0 / spec.p))
 
 
-def boundedness_trend(values: Sequence[float], growth_factor: float = 1.5,
-                      plateau_rel_tol: float = 1e-9) -> str:
+def boundedness_trend(values: Sequence[float]) -> str:
     """Classify a ratio-supremum ladder across increasing truncation depths.
 
-    Strict growth by at least ``growth_factor`` overall reads as an unbounded
-    trend; a flat ladder reads as a plateau; anything else is inconclusive.
+    Strict growth by a factor of at least 1.5 reads as an unbounded trend, a
+    ladder flat to 1e-9 relative as a plateau, anything else as inconclusive.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
         return TREND_INCONCLUSIVE
     first, last = vals[0], vals[-1]
-    if all(b > a for a, b in zip(vals, vals[1:])) and last >= growth_factor * first:
+    if all(b > a for a, b in zip(vals, vals[1:])) and last >= _GROWTH_FACTOR * first:
         return TREND_UNBOUNDED
-    if abs(last - first) <= plateau_rel_tol * max(abs(first), abs(last)):
+    if abs(last - first) <= _PLATEAU_REL_TOL * max(abs(first), abs(last)):
         return TREND_PLATEAU
     return TREND_INCONCLUSIVE

@@ -23,6 +23,9 @@ from .lpspace import basis_vector, norm_p
 
 DEFAULT_MAX_ORACLE_VERTICES = 600
 
+_JACOBI_REL_TOL = 1e-14  # jacobi_eigenvalues' stopping rule
+_JACOBI_MAX_SWEEPS = 100
+
 
 def matrix_of(spec: OperatorSpec) -> np.ndarray:
     """Matrix of the operator in the normalized indicator basis.
@@ -47,14 +50,13 @@ def frobenius_norm(matrix: np.ndarray) -> float:
     return float(np.sqrt(np.sum(matrix * matrix)))
 
 
-def jacobi_eigenvalues(sym: np.ndarray, rel_tol: float = 1e-14,
-                       max_sweeps: int = 100) -> np.ndarray:
+def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
 
     Each rotation zeroes one off-diagonal pair; sweeps repeat until the
-    off-diagonal Frobenius norm falls below ``rel_tol`` times the full
-    Frobenius norm, or ``max_sweeps`` runs out, whichever comes first, so
-    termination is deterministic. Returns eigenvalues in descending order.
+    off-diagonal Frobenius norm falls below 1e-14 times the full Frobenius
+    norm, or 100 sweeps have run, whichever comes first, so termination is
+    deterministic. Returns eigenvalues in descending order.
     """
     a = np.array(sym, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -65,14 +67,14 @@ def jacobi_eigenvalues(sym: np.ndarray, rel_tol: float = 1e-14,
     if n == 0:
         return np.empty(0, dtype=np.float64)
 
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_MAX_SWEEPS):
         total = float(np.linalg.norm(a))
         if total == 0.0:
             break
         # summed from the strict upper triangle: the difference of the full
         # and the diagonal sums would leave roundoff noise near 1e-8 relative
         off_sq = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
-        if math.sqrt(off_sq) <= rel_tol * total:
+        if math.sqrt(off_sq) <= _JACOBI_REL_TOL * total:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -104,8 +106,7 @@ def jacobi_eigenvalues(sym: np.ndarray, rel_tol: float = 1e-14,
     return np.sort(np.diag(a))[::-1]
 
 
-def svd_values(matrix: np.ndarray, rel_tol: float = 1e-14,
-               max_sweeps: int = 100) -> np.ndarray:
+def svd_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values of a real matrix, descending.
 
     Formed as square roots of the eigenvalues of the smaller Gram matrix,
@@ -119,7 +120,7 @@ def svd_values(matrix: np.ndarray, rel_tol: float = 1e-14,
     # prefer the column Gram on ties: matrices with at most one nonzero per
     # row make it diagonal, so the rotations converge immediately and exactly
     gram = matrix.T @ matrix if cols <= rows else matrix @ matrix.T
-    eig = jacobi_eigenvalues(gram, rel_tol=rel_tol, max_sweeps=max_sweeps)
+    eig = jacobi_eigenvalues(gram)
     return np.sqrt(np.clip(eig, 0.0, None))
 
 

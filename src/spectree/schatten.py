@@ -20,6 +20,9 @@ TREND_CONVERGING = "converging"
 TREND_DIVERGING = "diverging"
 TREND_INCONCLUSIVE = "inconclusive"
 
+_CONVERGE_REL_TOL = 1e-6  # schatten_trend's relative final increments
+_DIVERGE_REL_FLOOR = 1e-2
+
 
 def _require_hilbert(spec: OperatorSpec) -> None:
     if spec.p != 2.0:
@@ -27,17 +30,10 @@ def _require_hilbert(spec: OperatorSpec) -> None:
 
 
 def singular_values_analytic(spec: OperatorSpec) -> np.ndarray:
-    """All singular values, descending, padded with zeros to the vertex count.
-
-    The nonzero values are sqrt(w(preimage(u)) / w(u)) over targets with a
-    nonempty preimage; targets nobody reaches contribute zeros.
-    """
+    """All singular values, sqrt(w(preimage(u)) / w(u)) for each vertex u,
+    descending; targets nobody reaches contribute zeros."""
     _require_hilbert(spec)
-    r = preimage_ratio(spec)
-    vals = np.sqrt(r[r > 0.0])
-    out = np.zeros(len(spec.tree), dtype=np.float64)
-    out[: vals.size] = np.sort(vals)[::-1]
-    return out
+    return np.sort(np.sqrt(preimage_ratio(spec)))[::-1]
 
 
 def hs_norm(spec: OperatorSpec) -> float:
@@ -112,22 +108,21 @@ def spectral_report(spec: OperatorSpec, exponents: Sequence[float] = (1.0, 2.0))
     )
 
 
-def schatten_trend(partial_sums: Sequence[float], converge_rel_tol: float = 1e-6,
-                   diverge_rel_floor: float = 1e-2) -> str:
+def schatten_trend(partial_sums: Sequence[float]) -> str:
     """Three-way verdict from partial sums across a truncation ladder.
 
-    The sums are nondecreasing in depth; a final increment below
-    ``converge_rel_tol`` (relative) reads as converging, one above
-    ``diverge_rel_floor`` as diverging. The infinite-tree limit is not
-    finitely decidable, so anything in between stays inconclusive.
+    The sums are nondecreasing in depth; a final increment below 1e-6
+    (relative) reads as converging, one above 1e-2 as diverging. The
+    infinite-tree limit is not finitely decidable, so anything in between
+    stays inconclusive.
     """
     vals = [float(v) for v in partial_sums]
     if len(vals) < 2:
         return TREND_INCONCLUSIVE
     increment = vals[-1] - vals[-2]
     rel = increment / max(abs(vals[-1]), 1e-300)
-    if rel <= converge_rel_tol:
+    if rel <= _CONVERGE_REL_TOL:
         return TREND_CONVERGING
-    if rel >= diverge_rel_floor:
+    if rel >= _DIVERGE_REL_FLOOR:
         return TREND_DIVERGING
     return TREND_INCONCLUSIVE

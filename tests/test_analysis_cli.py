@@ -1,12 +1,14 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spectree import compop
 from spectree import (DocumentError, adversary_unbounded, build_bary, dump_map, dump_tree,
                       load_map, load_tree, load_weight)
 from spectree.analysis import (parse_analysis_spec, read_analysis_spec, report_json,
@@ -416,3 +418,23 @@ def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(DocumentError):
         run_spectrum(read_analysis_spec(path))
+
+
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
+
+
+@pytest.mark.parametrize("name, run, entries", [
+    ("analyze_ladder", run_analyze, 3),
+    ("spectrum_ladder", lambda spec: run_spectrum(spec)[0], 4),
+])
+def test_preimage_weight_is_formed_once_per_ladder_entry(monkeypatch, name, run, entries):
+    calls = []
+    original = compop.preimage_weight
+
+    def counted(spec):
+        calls.append(len(spec.tree))
+        return original(spec)
+
+    monkeypatch.setattr(compop, "preimage_weight", counted)
+    run(read_analysis_spec(BENCH_DOCS / f"{name}.json"))
+    assert len(calls) == entries

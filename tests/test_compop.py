@@ -2,17 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spectree import (OperatorSpec, apply, basis_vector, boundedness_report,
                       boundedness_trend, build_bary, compactness_profile,
                       constant_weight, custom_weight, depth_square_map,
                       geometric_weight, identity_map, isometry_check,
                       level_shift_map, norm_p, operator_norm, parent_map,
-                      ratio_sup, reciprocal_depth_weight, tail_defect)
+                      preimage_ratio, ratio_sup, reciprocal_depth_weight, tail_defect)
 from spectree.compop import TREND_PLATEAU, TREND_UNBOUNDED, VERDICT_COMPACT, VERDICT_NOT_COMPACT
-from spectree.instances import (random_function, random_injective_spec,
-                                random_multiplicity_spec,
+from spectree.instances import (random_bounded_multiplicity_map, random_function,
+                                random_injective_spec, random_multiplicity_spec,
                                 random_permutation_map, random_weight)
+from spectree.tree import bary_vertex_count
 
 
 def spec_of(tree, weight, symbol, p=2.0):
@@ -182,18 +185,6 @@ def test_non_surjective_injective_partial_map_witness():
     assert not verdict.frontier_only_misses  # misses at depths 2, 3, 5, ...
 
 
-def test_isometry_check_accepts_precomputed_profile():
-    from spectree import analyze
-
-    t = build_bary(2, 2)
-    spec = spec_of(t, constant_weight(t, 1.0), parent_map(t))
-    direct = isometry_check(spec)
-    threaded = isometry_check(spec, profile=analyze(spec.symbol))
-    assert direct.is_isometry == threaded.is_isometry
-    assert direct.reason == threaded.reason
-    assert direct.collision == threaded.collision
-
-
 def test_compactness_identity_constant_profile():
     t = build_bary(2, 4)
     spec = spec_of(t, constant_weight(t, 1.0), identity_map(t))
@@ -260,6 +251,76 @@ def test_tail_defect_bound_and_monotonicity():
                 if prev is not None:
                     assert d <= prev + 1e-12
                 prev = d
+
+
+def reference_preimage_ratio(spec):
+    """w(preimage(u)) / w(u) with the preimage weight accumulated by np.add.at."""
+    acc = np.zeros(len(spec.tree), dtype=np.float64)
+    dom = spec.symbol.domain
+    np.add.at(acc, spec.symbol.image[dom], spec.weight.values[dom])
+    return acc / spec.weight.values
+
+
+def reference_tail_defect(spec, n, N):
+    """tail_defect as a masked maximum over the whole tree."""
+    n, N = int(n), int(N)
+    if N < 0 or n <= N:
+        raise ValueError(f"tail defect requires n > N >= 0, got n={n}, N={N}")
+    r = reference_preimage_ratio(spec)
+    mask = spec.tree.depth > n
+    if not mask.any():
+        return 0.0
+    return float(r[mask].max() ** (1.0 / spec.p))
+
+
+def reference_compactness_tail(spec):
+    """(tail suprema, max image depth) by np.maximum.at over image depths."""
+    tree = spec.tree
+    D = tree.truncation_depth
+    dom = spec.symbol.domain
+    m = np.zeros(D + 1, dtype=np.float64)
+    if dom.size:
+        lam = spec.weight.values
+        img = spec.symbol.image[dom]
+        np.maximum.at(m, tree.depth[img], lam[dom] / lam[img])
+        max_image_depth = int(tree.depth[img].max())
+    else:
+        max_image_depth = -1
+    s = np.maximum.accumulate(m[::-1])[::-1]
+    return s, max_image_depth
+
+
+_SHAPES = [(b, d) for b in (1, 2, 3) for d in range(1, 7)
+           if (bary_vertex_count(b, d, max_vertices=400) or 0) >= 2]
+
+
+@given(st.sampled_from(_SHAPES),
+       st.sampled_from(["permutation", "multiplicity", "depth_square", "level_shift"]),
+       st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.integers(0, 2 ** 32 - 1), st.data())
+def test_tails_match_the_full_tree_reference(shape, kind, p, seed, data):
+    t = build_bary(*shape)
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        symbol = random_permutation_map(rng, t)
+    elif kind == "multiplicity":
+        symbol = random_bounded_multiplicity_map(rng, t, data.draw(st.integers(1, len(t) - 1)))
+    elif kind == "depth_square":
+        symbol = depth_square_map(t)
+    else:
+        symbol = level_shift_map(t, data.draw(st.integers(0, t.truncation_depth + 1)))
+    spec = spec_of(t, random_weight(rng, t), symbol, p)
+
+    h = preimage_ratio(spec)
+    assert h.tolist() == reference_preimage_ratio(spec).tolist()
+    assert not h.flags.writeable
+    prof = compactness_profile(spec)
+    values, max_image_depth = reference_compactness_tail(spec)
+    assert prof.values.tolist() == values.tolist()
+    assert prof.max_image_depth == max_image_depth
+    D = t.truncation_depth
+    for N in range(D + 1):
+        for n in range(N + 1, D + 3):
+            assert tail_defect(spec, n, N) == reference_tail_defect(spec, n, N)
 
 
 def test_boundedness_trend_vocabulary():
