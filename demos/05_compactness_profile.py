@@ -1,11 +1,12 @@
 """Tail suprema as a finite-depth compactness diagnostic.
 
-s[N] is the largest weight ratio among vertices whose image sits at depth N
-or deeper. On the infinite tree the operator (injective symbol) is compact
-exactly when s[N] tends to zero; a truncation can only report the trend, and
-it says so: the verdict is labeled consistent/not-consistent, never proved.
-The constant-weight space admits no compact composition operator with an
-injective symbol, and the profiles show why: the ratios never decay.
+s[N] is the largest h(u) = w(preimage(u)) / w(u) among vertices u at depth N
+or deeper, so s[0] = ||C||^p. On the infinite tree the operator is compact
+exactly when h vanishes at infinity, i.e. s[N] tends to zero; a truncation
+can only report the trend, and it says so: the verdict is labeled
+consistent/not-consistent, never proved. The constant-weight space admits no
+compact composition operator with an injective symbol, and the profiles show
+why: h never decays.
 """
 
 import numpy as np
@@ -25,11 +26,12 @@ def show(name, spec):
 
 tree = build_bary(2, 10)
 
-show("identity symbol, constant weight (ratios are all 1):",
+show("identity symbol, constant weight (h is 1 everywhere):",
      OperatorSpec(tree, constant_weight(tree, 1.0), identity_map(tree), 2.0))
 
 path = build_bary(1, 10)
-show("\nparent-direction shift on a path, weight 0.5^depth (ratio 0.5 at every step):",
+show("\nparent-direction shift on a path, weight 0.5^depth (h = 0.5 below the root;"
+     "\nthe root's preimage is the root and its child, so s starts at 1.5):",
      OperatorSpec(path, geometric_weight(path, 0.5), level_shift_map(path, 1), 2.0))
 
 show("\ndepth-squaring symbol, weight 2^depth (images far outweigh sources):",
@@ -37,7 +39,7 @@ show("\ndepth-squaring symbol, weight 2^depth (images far outweigh sources):",
 
 show("\ndepth-squaring symbol, weight 0.5^depth (sources outweigh images):",
      OperatorSpec(tree, geometric_weight(tree, 0.5), depth_square_map(tree), 2.0))
-print("  note: the raw ratios grow like 2^(n^2 - n); only the empty tail past")
+print("  note: h at depth n^2 grows like 2^(n^2 - n); only the empty tail past")
 print("  the deepest image pulls s to zero, hence the frontier-cliff flag.")
 
 print("\n== tail defects: how well C A_n approximates C ==")

@@ -74,21 +74,16 @@ class OperatorSpec:
 
     @cached_property
     def _h_tail(self) -> np.ndarray:
-        """Entry k is the largest h(u) over the vertices at depth >= k."""
-        return _level_tail_max(self.tree.depth, self._h, self.tree.truncation_depth)
+        """Entry k, for k = 0..D, is the largest h(u) over the vertices at
+        depth >= k; h is nonnegative, so an empty level contributes 0."""
+        m = np.zeros(self.tree.truncation_depth + 1, dtype=np.float64)
+        np.maximum.at(m, self.tree.depth, self._h)
+        return _read_only(np.maximum.accumulate(m[::-1])[::-1])
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
-
-
-def _level_tail_max(depth: np.ndarray, values: np.ndarray, D: int) -> np.ndarray:
-    """Entry k, for k = 0..D, is the largest of ``values`` whose ``depth`` is
-    >= k, or 0 where there is none; ``values`` are nonnegative. Read-only."""
-    m = np.zeros(D + 1, dtype=np.float64)
-    np.maximum.at(m, depth, values)
-    return _read_only(np.maximum.accumulate(m[::-1])[::-1])
 
 
 class RatioSup(NamedTuple):
@@ -239,10 +234,12 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
 
 @dataclass(frozen=True)
 class CompactnessProfile:
-    """Tail suprema s[N] = max ratio over vertices whose image sits at depth
-    >= N, for N = 0..D. Nonincreasing by construction; s[0] is the ratio
-    supremum. The verdict is a finite-depth diagnostic, not a proof: decay of
-    s toward zero is the compactness criterion on the infinite tree.
+    """Tail suprema s[N] = max of h(u) = w(preimage(u)) / w(u) over the
+    vertices u at depth >= N, for N = 0..D. Nonincreasing by construction;
+    s[0] = ||C||^p. The verdict is a finite-depth diagnostic, not a proof:
+    h vanishing at infinity, i.e. s decaying toward zero, is the compactness
+    criterion on the infinite tree. ``max_image_depth`` is the depth of the
+    deepest vertex with a nonempty preimage, -1 for an empty domain.
     """
 
     values: np.ndarray
@@ -251,7 +248,6 @@ class CompactnessProfile:
     tail_slope: float | None
     frontier_cliff: bool
     max_image_depth: int
-    decay_ratio: float
 
 
 def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> CompactnessProfile:
@@ -266,9 +262,9 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
     zero; ``frontier_cliff`` flags verdicts that rest on that artifact.
     """
     D = spec.tree.truncation_depth
-    image_depth = spec.tree.depth[spec.symbol.image[spec.symbol.domain]]
-    s = _level_tail_max(image_depth, spec._ratio, D)
-    max_image_depth = int(image_depth.max()) if image_depth.size else -1
+    s = spec._h_tail
+    # structural, not read off s: h can underflow to 0 at an image vertex
+    max_image_depth = int(spec.tree.depth[spec._profile.preimage_count > 0].max(initial=-1))
 
     s0, sD = float(s[0]), float(s[-1])
     start = int(math.ceil(D * (1.0 - _FINAL_FRACTION)))
@@ -293,7 +289,6 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
         tail_slope=slope,
         frontier_cliff=cliff,
         max_image_depth=max_image_depth,
-        decay_ratio=decay_ratio,
     )
 
 
@@ -302,9 +297,10 @@ def tail_defect(spec: OperatorSpec, n: int, N: int) -> float:
     f -> C (f - project(f, n)).
 
     Only targets deeper than n contribute, so the value is
-    sup over |u| > n of [w(preimage(u)) / w(u)]^(1/p). For injective symbols
-    and n > N it is bounded by the tail supremum s_N to the power 1/p, and it
-    is nonincreasing in n. The pair (n, N) is validated against that regime.
+    sup over |u| > n of [w(preimage(u)) / w(u)]^(1/p) = s[n+1]^(1/p), with s
+    the compactness profile. For every symbol and n > N it is therefore at
+    most s[N]^(1/p), and it is nonincreasing in n. The pair (n, N) is
+    validated against that regime.
     """
     n, N = int(n), int(N)
     if N < 0 or n <= N:

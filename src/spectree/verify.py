@@ -154,15 +154,17 @@ def suite_isometry(seed: int) -> dict:
 def suite_compactness(seed: int) -> dict:
     rec = _Recorder("compactness")
     rng = np.random.default_rng([seed, 404])
-    for _ in range(12):
-        op = random_injective_spec(rng)
+    for i in range(12):
+        mult = int(rng.integers(2, 5)) if i % 3 == 2 else 1
+        op = random_injective_spec(rng) if mult == 1 else random_multiplicity_spec(rng, mult)
         prof = compactness_profile(op)
         s = prof.values
         rec.check(bool((np.diff(s) <= 1e-300).all()),
                   "tail supremum profile is not nonincreasing", op)
         rs = ratio_sup(op).value
-        rec.check(abs(float(s[0]) - rs) <= 1e-12 * max(rs, 1.0),
-                  "profile start differs from the ratio supremum", op)
+        tol = 1e-12 * max(mult * rs, 1.0)  # M = 1: the injective identity s[0] == ratio_sup
+        rec.check(rs - tol <= float(s[0]) <= mult * rs + tol,
+                  "profile start left the sandwich ratio_sup <= s[0] <= M*ratio_sup", op)
         depth = op.tree.truncation_depth
         for low in sorted({0, depth // 2}):
             prev = None

@@ -205,15 +205,37 @@ def test_compactness_profile_starts_at_ratio_sup():
 
 
 def test_compactness_geometric_level_shift_values():
-    # ratio c at every vertex below the root; image depths stop at D - 1
+    # h = 0.5 at every target below the root; image depths stop at D - 1
     t = build_bary(1, 10)
     spec = spec_of(t, geometric_weight(t, 0.5), level_shift_map(t, 1))
     prof = compactness_profile(spec)
-    assert prof.values[0] == 1.0  # the clamped root has ratio 1
+    assert prof.values[0] == 1.5  # the root's preimage is the root and its child
     assert (prof.values[1:10] == 0.5).all()
     assert prof.values[10] == 0.0
     assert prof.max_image_depth == 9
     assert prof.frontier_cliff  # the drop rests on the truncation frontier
+
+
+def test_compactness_half_depth_ancestor_map_profile(half_depth_ancestor_map):
+    # the preimage of a target at depth k spans depths 2k and 2k + 1, so the
+    # multiplicity grows with depth and h = 2 until that reaches the frontier
+    t = build_bary(2, 16)
+    spec = spec_of(t, geometric_weight(t, 0.5), half_depth_ancestor_map(t))
+    prof = compactness_profile(spec)
+    assert (prof.values[0:8] == 2.0).all()
+    assert prof.values[8] == 1.0
+    assert (prof.values[9:] == 0.0).all()
+    assert prof.max_image_depth == 8
+    assert prof.frontier_cliff
+    assert prof.values[0] == pytest.approx(operator_norm(spec).value ** 2, rel=1e-15)
+
+
+def test_max_image_depth_is_structural_when_h_underflows():
+    t = build_bary(1, 2)
+    spec = spec_of(t, custom_weight(t, [1.0, 1e200, 1e-200]), level_shift_map(t, 1))
+    prof = compactness_profile(spec)
+    assert prof.values.tolist() == [1e200, 0.0, 0.0]  # h at depth 1 underflows
+    assert prof.max_image_depth == 1
 
 
 def test_compactness_decaying_depth_square_profile():
@@ -237,20 +259,30 @@ def test_tail_defect_examples():
         tail_defect(spec, 0, -1)
 
 
+def assert_tail_defect_bound_and_monotonicity(spec):
+    prof = compactness_profile(spec)
+    depth = spec.tree.truncation_depth
+    for low in (0, depth // 2):
+        prev = None
+        for n in range(low + 1, depth + 1):
+            d = tail_defect(spec, n, low)
+            assert d ** spec.p <= prof.values[low] + 1e-10
+            if prev is not None:
+                assert d <= prev + 1e-12
+            prev = d
+
+
 def test_tail_defect_bound_and_monotonicity():
     rng = np.random.default_rng(7)
     for _ in range(15):
-        spec = random_injective_spec(rng)
-        prof = compactness_profile(spec)
-        depth = spec.tree.truncation_depth
-        for low in (0, depth // 2):
-            prev = None
-            for n in range(low + 1, depth + 1):
-                d = tail_defect(spec, n, low)
-                assert d ** spec.p <= prof.values[low] + 1e-10
-                if prev is not None:
-                    assert d <= prev + 1e-12
-                prev = d
+        assert_tail_defect_bound_and_monotonicity(random_injective_spec(rng))
+
+
+def test_tail_defect_bound_holds_for_non_injective_symbols():
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        assert_tail_defect_bound_and_monotonicity(
+            random_multiplicity_spec(rng, int(rng.integers(2, 5))))
 
 
 def reference_preimage_ratio(spec):
@@ -274,19 +306,13 @@ def reference_tail_defect(spec, n, N):
 
 
 def reference_compactness_tail(spec):
-    """(tail suprema, max image depth) by np.maximum.at over image depths."""
+    """(tail suprema of h by np.maximum.at over vertex depths, max image depth)."""
     tree = spec.tree
-    D = tree.truncation_depth
-    dom = spec.symbol.domain
-    m = np.zeros(D + 1, dtype=np.float64)
-    if dom.size:
-        lam = spec.weight.values
-        img = spec.symbol.image[dom]
-        np.maximum.at(m, tree.depth[img], lam[dom] / lam[img])
-        max_image_depth = int(tree.depth[img].max())
-    else:
-        max_image_depth = -1
+    m = np.zeros(tree.truncation_depth + 1, dtype=np.float64)
+    np.maximum.at(m, tree.depth, reference_preimage_ratio(spec))
     s = np.maximum.accumulate(m[::-1])[::-1]
+    img = spec.symbol.image[spec.symbol.domain]
+    max_image_depth = int(tree.depth[img].max()) if img.size else -1
     return s, max_image_depth
 
 

@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from spectree import (OperatorSpec, build_bary, constant_weight, custom_weight,
-                      dump_matrix_csv, frobenius_norm, identity_map,
-                      jacobi_eigenvalues, matrix_of, norm_search,
-                      operator_norm, parent_map, preimage_ratio,
-                      reciprocal_depth_weight,
-                      singular_values_analytic, svd_values)
+from spectree import (OperatorSpec, build_bary, compactness_profile, constant_weight,
+                      custom_weight, dump_matrix_csv, frobenius_norm,
+                      geometric_weight, identity_map, jacobi_eigenvalues,
+                      matrix_of, norm_search, operator_norm, parent_map,
+                      preimage_ratio, reciprocal_depth_weight,
+                      singular_values_analytic, svd_values, tail_defect)
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
                                 random_injective_spec, random_permutation_map,
                                 random_weight)
@@ -142,6 +142,31 @@ def test_oracle_agrees_with_analytic_spectrum():
         spec = spec2(t, w, symbol)
         assert float(np.max(np.abs(
             singular_values_analytic(spec) - svd_values(matrix_of(spec))))) <= 1e-8
+
+
+def test_compactness_tail_and_tail_defect_match_the_dense_oracle(half_depth_ancestor_map):
+    # s[N] is the squared norm of the operator restricted to inputs supported
+    # at depth >= N, and tail_defect(n, N) the norm on inputs supported at depth > n
+    t = build_bary(2, 6)
+    specs = [spec2(t, geometric_weight(t, 0.5), half_depth_ancestor_map(t))]
+    rng = np.random.default_rng(8)
+    for _ in range(6):
+        mult = int(rng.integers(2, 5))
+        t = random_bary_tree(rng, max_vertices=150, min_vertices=mult + 2)
+        specs.append(spec2(t, random_weight(rng, t), random_bounded_multiplicity_map(rng, t, mult)))
+    for spec in specs:
+        m, depth, D = matrix_of(spec), spec.tree.depth, spec.tree.truncation_depth
+
+        def top_singular_value(columns):
+            return float(svd_values(m * columns)[0])
+
+        values = compactness_profile(spec).values
+        for N in range(D + 1):
+            assert values[N] == pytest.approx(top_singular_value(depth >= N) ** 2, rel=1e-10)
+        for n in range(1, D + 1):
+            expected = top_singular_value(depth > n)
+            for N in range(n):
+                assert tail_defect(spec, n, N) == pytest.approx(expected, rel=1e-10)
 
 
 def test_orthogonality_detects_isometries():
