@@ -2,7 +2,8 @@
 
 Exactly when the symbol is a bijection of the vertex set and every weight
 ratio weight(v)/weight(symbol(v)) equals 1. The check returns a witness on
-failure: a unit function whose image norm deviates from 1. At p = 2 the
+failure: a vertex whose normalized indicator is a unit function with image
+norm other than 1. At p = 2 the
 verdict coincides with the operator matrix being orthogonal.
 """
 
@@ -35,9 +36,11 @@ spec = OperatorSpec(tree, custom_weight(tree, values), symbol, 2.0)
 verdict = isometry_check(spec)
 print(f"isometry: {verdict.is_isometry} (reason: {verdict.reason})")
 v = verdict.ratio_vertex
-print(f"witness vertex {v}: weight ratio = "
+print(f"ratio vertex {v}: weight ratio = "
       f"{values[v] / values[int(symbol.image[v])]:.6f} (should be 1)")
-print(f"the returned unit function maps to norm {verdict.witness_image_norm:.6f}")
+u = verdict.witness_vertex
+print(f"the normalized indicator of witness vertex {u} = symbol({v}) maps to norm "
+      f"{verdict.witness_image_norm:.6f}")
 
 print("\n== the oracle view at p = 2: orthogonality of the matrix ==")
 for label, w in (("constant", weight), ("nudged", custom_weight(tree, values))):
@@ -49,4 +52,5 @@ print("\n== a non-injective symbol can never be an isometry ==")
 spec = OperatorSpec(tree, weight, parent_map(tree), 2.0)
 verdict = isometry_check(spec)
 print(f"parent map: isometry={verdict.is_isometry}, reason={verdict.reason}, "
-      f"collision={verdict.collision}, witness image norm={verdict.witness_image_norm:.6f}")
+      f"collision={verdict.collision}, witness vertex={verdict.witness_vertex}, "
+      f"witness image norm={verdict.witness_image_norm:.6f}")

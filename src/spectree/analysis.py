@@ -316,7 +316,6 @@ def run_analyze(spec: AnalysisSpec) -> dict:
     for depth in spec.depth_ladder:
         op = mat.operator_at(depth)
         tree = op.tree
-        # the isometry witness is the largest transient: build it before h is cached
         iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
         bnd = boundedness_report(op)
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)

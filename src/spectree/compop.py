@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lpspace import TreeFunction, basis_vector, norm_p, validate_exponent
+from .lpspace import TreeFunction, validate_exponent
 from .selfmap import MapProfile, SelfMap, analyze
 from .tree import Tree
 from .weight import Weight
@@ -77,7 +77,8 @@ class OperatorSpec:
         """Entry k, for k = 0..D, is the largest h(u) over the vertices at
         depth >= k; h is nonnegative, so an empty level contributes 0."""
         m = np.zeros(self.tree.truncation_depth + 1, dtype=np.float64)
-        np.maximum.at(m, self.tree.depth, self._h)
+        d = int(self.tree.depth[-1])  # levels 0..d are the nonempty ones
+        m[:d + 1] = np.maximum.reduceat(self._h, self.tree.level_start[:d + 1])
         return _read_only(np.maximum.accumulate(m[::-1])[::-1])
 
 
@@ -190,7 +191,7 @@ class IsometryVerdict:
     collision: tuple[int, int] | None
     missed_vertex: int | None
     ratio_vertex: int | None
-    witness_function: TreeFunction | None
+    witness_vertex: int | None  # u whose normalized indicator is the unit witness
     witness_image_norm: float | None
     frontier_only_misses: bool
 
@@ -199,36 +200,42 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
     """Isometry holds exactly when the symbol is a bijection of the stored
     vertex set and every weight ratio equals 1 (within ``ratio_tol``).
 
-    On failure the verdict carries a unit function whose image norm deviates
-    from 1: the indicator of a missed vertex (image norm 0), the indicator of
-    a shared image, or the indicator of symbol(u) for a ratio-violating u.
+    On failure the verdict names a vertex u whose normalized indicator is a
+    unit function with image norm other than 1: a missed vertex (image norm
+    0), a shared image, or symbol(v) for a ratio-violating v. That image is
+    carried by the preimage of u, so its norm is read from the preimage.
     ``frontier_only_misses`` flags the truncation artifact where a bijection
     of the infinite tree misses stored vertices only at the frontier.
     """
-    tree, profile = spec.tree, spec._profile
+    tree, profile, lam, p = spec.tree, spec._profile, spec.weight.values, spec.p
     counts = profile.preimage_count
+    # ids are in level order, so the first miss is the shallowest (argmax of a
+    # fresh mask: numpy's argmin copies a read-only array such as counts)
+    first_miss = None if profile.surjective_on_truncation else int(np.argmax(counts == 0))
+    frontier_only = first_miss is not None and bool(tree.depth[first_miss] == tree.truncation_depth)
 
-    def _with_witness(reason, collision=None, missed=None, ratio_v=None, witness_at=None):
-        wfun = basis_vector(spec.weight, witness_at, spec.p) if witness_at is not None else None
-        wnorm = norm_p(apply(spec, wfun), spec.weight, spec.p) if wfun is not None else None
-        missed_depths = tree.depth[counts == 0]
-        frontier_only = bool(missed_depths.size and missed_depths.min() == tree.truncation_depth)
-        return IsometryVerdict(False, reason, collision, missed, ratio_v,
-                               wfun, wnorm, frontier_only)
+    def _failure(reason, u, preimage=(), collision=None, missed=None, ratio_v=None):
+        # the image is w(u)**(-1/p) on the preimage; at their vertex positions the terms
+        # are grouped by the pairwise sum as in norm_p, so the norm is its dense one bit for bit
+        norm = 0.0
+        if len(preimage):
+            c = np.full(len(preimage), lam[u] ** (-1.0 / p), dtype=np.complex128)  # as basis_vector
+            terms = np.zeros(len(tree), dtype=np.float64)
+            terms[preimage] = np.abs(c) ** p * lam[preimage]
+            norm = float(np.sum(terms) ** (1.0 / p))
+        return IsometryVerdict(False, reason, collision, missed, ratio_v, u, norm, frontier_only)
 
     if not profile.injective:
-        shared = int(np.flatnonzero(counts > 1)[0])
-        pair = tuple(np.flatnonzero(spec.symbol.image == shared)[:2].tolist())
-        return _with_witness("not_injective", collision=pair, witness_at=shared)
+        shared = int(np.argmax(counts > 1))
+        pre = np.flatnonzero(spec.symbol.image == shared)
+        return _failure("not_injective", shared, pre, collision=tuple(pre[:2].tolist()))
     if not profile.surjective_on_truncation:
-        missed = int(np.flatnonzero(counts == 0)[0])
-        return _with_witness("not_surjective", missed=missed, witness_at=missed)
+        return _failure("not_surjective", first_miss, missed=first_miss)  # empty preimage
 
     off = np.abs(spec._ratio - 1.0) > ratio_tol
     if off.any():
-        v = int(spec.symbol.domain[int(np.flatnonzero(off)[0])])
-        return _with_witness("ratio_deviation", ratio_v=v,
-                             witness_at=int(spec.symbol.image[v]))
+        v = int(spec.symbol.domain[int(np.argmax(off))])
+        return _failure("ratio_deviation", int(spec.symbol.image[v]), [v], ratio_v=v)
     return IsometryVerdict(True, None, None, None, None, None, None, False)
 
 

@@ -35,9 +35,8 @@ class SelfMap:
         n = len(self.tree)
         if image.shape != (n,):
             raise ValueError(f"self-map needs one image slot per vertex ({n}), got shape {image.shape}")
-        bad = (image < -1) | (image >= n)
-        if bad.any():
-            v = int(np.flatnonzero(bad)[0])
+        if not (image.min() >= -1 and image.max() < n):
+            v = int(np.argmax((image < -1) | (image >= n)))
             raise DocumentError(
                 f"map sends vertex '{self.tree.name_of(v)}' outside the stored vertex set")
         image.setflags(write=False)

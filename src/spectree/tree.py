@@ -193,8 +193,9 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None,
     # ids run in level order: in the complete b-ary part v hangs below
     # (v - 1) // b, and below depth bu each chain vertex one level width back
     width = branching ** bu
-    v = np.arange(n, dtype=np.int64)
-    parent = np.where(v < n - (depth - bu) * width, (v - 1) // branching, v - width)
+    m = n - (depth - bu) * width  # vertices of the complete part
+    parent = np.arange(-width, n - width, dtype=np.int64)
+    parent[:m] = np.arange(-1, m - 1, dtype=np.int64) // branching
     widths = branching ** np.minimum(np.arange(depth + 1, dtype=np.int64), bu)
     return Tree(parent=parent, depth=np.repeat(np.arange(depth + 1, dtype=np.int64), widths),
                 truncation_depth=depth, names=None, terminal_gaps=(),

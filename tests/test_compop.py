@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from spectree.compop import TREND_PLATEAU, TREND_UNBOUNDED, VERDICT_COMPACT, VER
 from spectree.instances import (random_bounded_multiplicity_map, random_function,
                                 random_injective_spec, random_multiplicity_spec,
                                 random_permutation_map, random_weight)
-from spectree.tree import bary_vertex_count
+from spectree.tree import _assemble, bary_vertex_count
 
 
 def spec_of(tree, weight, symbol, p=2.0):
@@ -150,7 +151,8 @@ def test_isometry_fails_on_ratio_deviation_with_unit_witness():
     v = verdict.ratio_vertex
     ratio = values[v] / values[int(symbol.image[v])]
     assert abs(ratio - 1.0) > 1e-12
-    assert norm_p(verdict.witness_function, spec.weight, spec.p) == pytest.approx(1.0, rel=1e-12)
+    assert norm_p(basis_vector(spec.weight, verdict.witness_vertex, spec.p),
+                  spec.weight, spec.p) == pytest.approx(1.0, rel=1e-12)
     assert abs(verdict.witness_image_norm - 1.0) > 1e-6
 
 
@@ -183,6 +185,71 @@ def test_non_surjective_injective_partial_map_witness():
     assert verdict.reason == "not_surjective"
     assert verdict.witness_image_norm == pytest.approx(0.0, abs=1e-15)
     assert not verdict.frontier_only_misses  # misses at depths 2, 3, 5, ...
+
+
+_P_GRID = (1.0, 1.5, 2.0, 3.0)
+
+
+def reference_witness_image_norm(spec, witness_at):
+    """The dense witness norm: norm_p of the image of the full-length
+    normalized indicator of ``witness_at``."""
+    wfun = basis_vector(spec.weight, witness_at, spec.p) if witness_at is not None else None
+    wnorm = norm_p(apply(spec, wfun), spec.weight, spec.p) if wfun is not None else None
+    return wnorm
+
+
+def assert_witness_is_exact(spec):
+    verdict = isometry_check(spec)
+    u, image = verdict.witness_vertex, spec.symbol.image
+    if verdict.reason == "not_injective":
+        assert image[verdict.collision[0]] == image[verdict.collision[1]] == u
+    elif verdict.reason == "not_surjective":
+        assert u == verdict.missed_vertex
+    elif verdict.reason == "ratio_deviation":
+        assert u == image[verdict.ratio_vertex]
+    else:
+        assert u is None
+    assert verdict.witness_image_norm == reference_witness_image_norm(spec, u)
+    return verdict
+
+
+@given(st.sampled_from(["injective", 2, 3, 4, 5]), st.sampled_from(_P_GRID),
+       st.integers(0, 2 ** 32 - 1))
+def test_witness_image_norm_equals_the_dense_reference(kind, p, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "injective":
+        verdict = assert_witness_is_exact(random_injective_spec(rng, p))
+        assert verdict.reason in (None, "ratio_deviation")
+    else:
+        verdict = assert_witness_is_exact(random_multiplicity_spec(rng, kind, p))
+        assert verdict.reason == "not_injective"
+
+
+def test_parent_map_witness_with_many_preimages_equals_the_dense_reference():
+    rng = np.random.default_rng(9)
+    for b in (3, 4, 5):
+        for d in (1, 2, 3, 4):
+            t = build_bary(b, d)
+            for p in _P_GRID:
+                for w in (random_weight(rng, t), reciprocal_depth_weight(t), geometric_weight(t, 0.5)):
+                    verdict = assert_witness_is_exact(spec_of(t, w, parent_map(t), p))
+                    # the root's preimage is itself and its b children
+                    assert verdict.reason == "not_injective" and verdict.witness_vertex == 0
+
+
+def test_isometry_check_builds_no_full_length_vector_on_the_analyze_ladder():
+    t = build_bary(2, 25, 16)
+    spec = spec_of(t, reciprocal_depth_weight(t), depth_square_map(t))
+    spec._profile  # the map profile is shared with the other reports
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        verdict = isometry_check(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert verdict.reason == "not_surjective" and verdict.witness_image_norm == 0.0
+    assert peak < 16 * len(t), f"{peak / len(t):.1f} bytes per vertex"
 
 
 def test_compactness_identity_constant_profile():
@@ -347,6 +414,26 @@ def test_tails_match_the_full_tree_reference(shape, kind, p, seed, data):
     for N in range(D + 1):
         for n in range(N + 1, D + 3):
             assert tail_defect(spec, n, N) == reference_tail_defect(spec, n, N)
+
+
+@given(st.sampled_from(_SHAPES), st.integers(0, 3),
+       st.sampled_from(["permutation", "multiplicity", "level_shift"]),
+       st.integers(0, 2 ** 32 - 1), st.data())
+def test_h_tail_matches_the_scatter_reference_past_the_deepest_vertex(shape, extra, kind, seed, data):
+    # the truncation depth runs ``extra`` empty levels past the deepest vertex
+    t = build_bary(*shape)
+    t = _assemble(t.parent, None, t.truncation_depth + extra)
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        symbol = random_permutation_map(rng, t)
+    elif kind == "multiplicity":
+        symbol = random_bounded_multiplicity_map(rng, t, data.draw(st.integers(1, len(t) - 1)))
+    else:
+        symbol = level_shift_map(t, data.draw(st.integers(0, t.truncation_depth + 1)))
+    spec = spec_of(t, random_weight(rng, t), symbol)
+    values, _ = reference_compactness_tail(spec)
+    assert len(values) == t.truncation_depth + 1
+    assert spec._h_tail.tolist() == values.tolist()
 
 
 def test_boundedness_trend_vocabulary():

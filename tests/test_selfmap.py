@@ -144,6 +144,20 @@ def test_self_map_rejects_out_of_range_images():
         SelfMap(t, np.array([0, 5, 1]))
 
 
+def test_out_of_range_error_names_the_first_offending_vertex():
+    t = build_bary(1, 3)
+    for image, first in (([0, 0, 4, -2], "2"), ([-2, 9, 0, 1], "0"), ([0, 1, 2, 4], "3")):
+        with pytest.raises(DocumentError) as raised:
+            SelfMap(t, np.array(image))
+        assert str(raised.value) == f"map sends vertex '{first}' outside the stored vertex set"
+    named = load_tree({"vertices": [{"id": "r", "parent": None}, {"id": "a", "parent": "r"},
+                                    {"id": "b", "parent": "r"}]})
+    with pytest.raises(DocumentError) as raised:
+        SelfMap(named, np.array([0, -1, -7]))
+    assert str(raised.value) == "map sends vertex 'b' outside the stored vertex set"
+    assert SelfMap(t, np.array([-1, 0, 1, 3])).domain.tolist() == [1, 2, 3]
+
+
 def test_dump_map_round_trips():
     t = build_bary(2, 3)
     for m in (identity_map(t), parent_map(t), level_shift_map(t, 2),

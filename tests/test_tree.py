@@ -364,6 +364,29 @@ def test_build_bary_matches_the_assembly_of_its_parent_array():
                 assert _int64_read_only(t)
 
 
+def reference_bary_arrays(b, d, bu):
+    """(parent, depth, level_start) of build_bary with the parent array
+    chosen by np.where over two full-length branches."""
+    bu = d if bu is None else min(bu, d)
+    width = b ** bu
+    widths = b ** np.minimum(np.arange(d + 1, dtype=np.int64), bu)
+    n = int(widths.sum())
+    v = np.arange(n, dtype=np.int64)
+    parent = np.where(v < n - (d - bu) * width, (v - 1) // b, v - width)
+    return parent, np.repeat(np.arange(d + 1, dtype=np.int64), widths), np.cumsum(np.append(0, widths))
+
+
+def test_build_bary_matches_the_two_branch_reference():
+    for b in range(1, 5):
+        for d in range(9):
+            for bu in (None, *range(d + 2)):
+                t = build_bary(b, d, bu)
+                for field, ref in zip(("parent", "depth", "level_start"),
+                                      reference_bary_arrays(b, d, bu)):
+                    assert np.array_equal(getattr(t, field), ref), (b, d, bu, field)
+                assert _int64_read_only(t)
+
+
 def reference_truncate(tree, new_depth):
     """Truncation by re-assembly: relabel the kept vertices and run
     ``_assemble`` on them again."""
