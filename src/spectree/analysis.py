@@ -110,10 +110,19 @@ def _check_file(source: Mapping, base_dir: Path, where: str) -> None:
         raise DocumentError(f"{where}: referenced file '{path}' not found")
 
 
+# real specs nest 3 levels; the report writer recurses once per echoed level
+_MAX_SPEC_NESTING = 8
+
+
 def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> AnalysisSpec:
     base_dir = Path(base_dir)
     if not isinstance(document, Mapping):
         raise DocumentError("analysis spec must be a JSON object")
+    level, nesting = [document], 0
+    while level := [c for c in level if isinstance(c, (Mapping, list, tuple))]:
+        if (nesting := nesting + 1) > _MAX_SPEC_NESTING:
+            raise DocumentError(f"analysis spec nests deeper than {_MAX_SPEC_NESTING} levels")
+        level = [m for c in level for m in (c.values() if isinstance(c, Mapping) else c)]
     version = document.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})")
@@ -210,6 +219,8 @@ def read_json(path: Path, what: str = "") -> Mapping:
         raise DocumentError(f"cannot read {label}: {exc}") from None
     except ValueError as exc:
         raise DocumentError(f"{label} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError(f"{label} is not valid JSON: nested too deeply") from None
     if not isinstance(doc, Mapping):
         raise DocumentError(f"{label} must hold a JSON object")
     return doc
@@ -222,71 +233,46 @@ def read_analysis_spec(path) -> AnalysisSpec:
 
 class _Materializer:
     """Builds the per-depth operator instances an experiment asks for: it
-    reads each document once, builds the deepest ladder entry once, resolves
-    the weight and an explicit map against it once, and restricts them to
-    each entry, whose vertices are an id prefix of the deepest tree. Builtin
-    maps are rebuilt per entry (``depth_square`` depends on the depth)."""
+    reads each document once, loads or generates the tree once, resolves the
+    weight and an explicit map against it once, and restricts them to each
+    ladder entry, whose vertices are an id prefix of that tree. Builtin maps
+    are rebuilt per entry (``depth_square`` depends on the depth)."""
 
     def __init__(self, spec: AnalysisSpec):
         self.spec = spec
-        deepest, source = spec.depth_ladder[-1], spec.tree_source
+        source = spec.tree_source
         if "file" in source:
-            tree = load_tree(read_json(spec.base_dir / source["file"]))
-            too_deep = [d for d in spec.depth_ladder if d > tree.truncation_depth]
+            self.tree = load_tree(read_json(spec.base_dir / source["file"]))
+            too_deep = [d for d in spec.depth_ladder if d > self.tree.truncation_depth]
             if too_deep:
                 raise DocumentError(f"depth ladder entry {too_deep[0]} exceeds the loaded "
-                                    f"tree's depth {tree.truncation_depth}")
+                                    f"tree's depth {self.tree.truncation_depth}")
         else:
-            tree = build_bary(source["branching"], deepest, source.get("branch_until"))
-        self.base = truncate(tree, deepest)
-        # a table may name any vertex of the file tree; rows below the
-        # deepest entry are in no entry and are dropped
-        below = set((tree.names or ())[len(self.base):])
-        weight_doc, self.map_doc = (
-            _drop_rows(read_json(spec.base_dir / s["file"]) if "file" in s else s, below)
-            for s in (spec.weight_source, spec.map_source))
-        self.weight = load_weight(self.base, weight_doc)
-        self.symbol = load_map(self.base, self.map_doc) if "map" in self.map_doc else None
+            self.tree = build_bary(source["branching"], spec.depth_ladder[-1],
+                                   source.get("branch_until"))
+        weight_doc, self.map_doc = (read_json(spec.base_dir / s["file"]) if "file" in s else s
+                                    for s in (spec.weight_source, spec.map_source))
+        self.weight = load_weight(self.tree, weight_doc)
+        self.symbol = load_map(self.tree, self.map_doc) if "map" in self.map_doc else None
 
     def entry(self, depth: int) -> tuple[Tree, Weight]:
         """Tree and weight at ``depth``."""
-        base, weight = self.base, self.weight
-        if depth == base.truncation_depth:
-            return base, weight
-        tree = truncate(base, depth)
-        return tree, replace(weight, tree=tree, values=weight.values[:len(tree)])
+        tree = truncate(self.tree, depth)
+        return tree, replace(self.weight, tree=tree, values=self.weight.values[:len(tree)])
 
     def operator_at(self, depth: int) -> OperatorSpec:
         tree, weight = self.entry(depth)
         n, symbol = len(tree), self.symbol
         if symbol is None:
             symbol = load_map(tree, self.map_doc)
-        elif n < len(self.base):
+        elif n < len(self.tree):
             image = symbol.image[:n]
             if (image >= n).any():
                 v = int(np.flatnonzero(image >= n)[0])
                 raise DocumentError(f"map sends vertex '{tree.name_of(v)}' to unknown vertex "
-                                    f"'{self.base.name_of(int(image[v]))}'")
+                                    f"'{self.tree.name_of(int(image[v]))}'")
             symbol = SelfMap(tree, image, label="custom")
         return OperatorSpec(tree, weight, symbol, self.spec.p)
-
-
-def _drop_rows(document: Mapping, names: set) -> Mapping:
-    """``document`` without the weight or map table rows ``names`` lists."""
-    return {field: {k: v for k, v in table.items() if k not in names}
-            if field in ("weights", "map") and isinstance(table, Mapping) else table
-            for field, table in document.items()} if names else document
-
-
-def _spec_echo(spec: AnalysisSpec) -> dict:
-    return {
-        "tree": dict(spec.tree_source),
-        "weight": dict(spec.weight_source),
-        "map": dict(spec.map_source),
-        "p": real_str(spec.p),
-        "depth_ladder": list(spec.depth_ladder),
-        "seed": spec.seed,
-    }
 
 
 def _report_head(command: str, spec: AnalysisSpec) -> dict:
@@ -294,17 +280,14 @@ def _report_head(command: str, spec: AnalysisSpec) -> dict:
         "schema_version": SCHEMA_VERSION,
         "command": command,
         "conventions": list(CONVENTION_NOTES),
-        "spec": _spec_echo(spec),
+        "spec": {"tree": dict(spec.tree_source), "weight": dict(spec.weight_source),
+                 "map": dict(spec.map_source), "p": real_str(spec.p),
+                 "depth_ladder": list(spec.depth_ladder), "seed": spec.seed},
     }
 
 
 def _tail_defect_pairs(depth: int) -> list[tuple[int, int]]:
-    pairs = []
-    for low in sorted({0, depth // 2}):
-        for n in sorted({low + 1, depth}):
-            if n > low:
-                pairs.append((low, n))
-    return sorted(set(pairs))
+    return [(low, n) for low in sorted({0, depth // 2}) for n in sorted({low + 1, depth}) if n > low]
 
 
 def run_analyze(spec: AnalysisSpec) -> dict:
@@ -341,7 +324,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
             "isometry": {
                 "is_isometry": iso.is_isometry,
                 "reason": iso.reason,
-                "witness_vertex": _witness_name(tree, iso),
+                "witness_vertex": None if iso.witness_vertex is None else tree.name_of(iso.witness_vertex),
                 "witness_image_norm": None if iso.witness_image_norm is None else real_str(iso.witness_image_norm),
                 "frontier_only_misses": iso.frontier_only_misses,
             },
@@ -367,15 +350,6 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         "verdict": boundedness_trend(sups),
     }
     return report
-
-
-def _witness_name(tree: Tree, iso) -> str | None:
-    for v in (iso.ratio_vertex, iso.missed_vertex):
-        if v is not None:
-            return tree.name_of(v)
-    if iso.collision is not None:
-        return tree.name_of(iso.collision[0])
-    return None
 
 
 def oracle_spectral_report(op: OperatorSpec, exponents) -> SpectralReport:

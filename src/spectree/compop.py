@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .lpspace import TreeFunction, validate_exponent
+from .lpspace import TreeFunction, _as_function, validate_exponent
 from .selfmap import MapProfile, SelfMap, analyze
 from .tree import Tree
 from .weight import Weight
@@ -99,9 +99,7 @@ class OperatorNorm(NamedTuple):
 
 def apply(spec: OperatorSpec, f: TreeFunction) -> TreeFunction:
     """(C f)(v) = f(symbol(v)) on the symbol's domain, zero outside it."""
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (len(spec.tree),):
-        raise ValueError(f"function needs one value per vertex ({len(spec.tree)}), got shape {f.shape}")
+    f = _as_function(spec.tree, f)
     g = np.zeros(len(spec.tree), dtype=np.complex128)
     dom = spec.symbol.domain
     g[dom] = f[spec.symbol.image[dom]]

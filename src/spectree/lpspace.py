@@ -27,24 +27,24 @@ def validate_exponent(p: float) -> float:
     return p
 
 
-def _as_function(weight: Weight, f) -> np.ndarray:
+def _as_function(tree: Tree, f) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape != weight.values.shape:
-        raise ValueError(f"function needs one value per vertex ({weight.values.shape[0]}), got shape {f.shape}")
+    if f.shape != (len(tree),):
+        raise ValueError(f"function needs one value per vertex ({len(tree)}), got shape {f.shape}")
     return f
 
 
 def norm_p(f: TreeFunction, weight: Weight, p: float) -> float:
     """[sum over v of |f(v)|^p * weight(v)] ** (1/p)."""
     p = validate_exponent(p)
-    f = _as_function(weight, f)
+    f = _as_function(weight.tree, f)
     return float(np.sum(np.abs(f) ** p * weight.values) ** (1.0 / p))
 
 
 def inner(f: TreeFunction, g: TreeFunction, weight: Weight) -> complex:
     """sum over v of f(v) * conj(g(v)) * weight(v)."""
-    f = _as_function(weight, f)
-    g = _as_function(weight, g)
+    f = _as_function(weight.tree, f)
+    g = _as_function(weight.tree, g)
     return complex(np.sum(f * np.conj(g) * weight.values))
 
 
@@ -78,9 +78,7 @@ def project(tree: Tree, f: TreeFunction, n: int) -> TreeFunction:
     n = int(n)
     if n < 0:
         raise ValueError("projection level must be >= 0")
-    f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (len(tree),):
-        raise ValueError(f"function needs one value per vertex ({len(tree)}), got shape {f.shape}")
+    f = _as_function(tree, f)
     return np.where(tree.depth <= n, f, 0.0 + 0.0j)
 
 

@@ -34,7 +34,7 @@ def _validated(tree: Tree, values: np.ndarray, family: str,
     if bad.any():
         v = int(np.flatnonzero(bad)[0])
         raise DocumentError(
-            f"weight at vertex '{tree.name_of(v)}' must be a finite positive real, got {values[v]!r}")
+            f"weight at vertex '{tree.name_of(v)}' must be a finite positive real, got {float(values[v])!r}")
     values.setflags(write=False)
     return Weight(tree=tree, values=values, family=family, params=params)
 

@@ -9,9 +9,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectree import compop
-from spectree import (DocumentError, adversary_unbounded, build_bary, dump_map, dump_tree,
-                      load_map, load_tree, load_weight)
-from spectree.analysis import (parse_analysis_spec, read_analysis_spec, report_json,
+from spectree import (DocumentError, adversary_unbounded, basis_vector, build_bary, dump_map,
+                      dump_tree, load_map, load_tree, load_weight, norm_p)
+from spectree.analysis import (parse_analysis_spec, read_analysis_spec, real_str, report_json,
                                run_adversary, run_analyze, run_spectrum, spectrum_csv)
 from spectree.cli import main
 
@@ -438,3 +438,77 @@ def test_preimage_weight_is_formed_once_per_ladder_entry(monkeypatch, name, run,
     monkeypatch.setattr(compop, "preimage_weight", counted)
     run(read_analysis_spec(BENCH_DOCS / f"{name}.json"))
     assert len(calls) == entries
+
+
+_SEVEN = range(7)  # build_bary(2, 2)
+
+
+@pytest.mark.parametrize("reason, symbol", [
+    ("ratio_deviation", {"map": {str(v): str({1: 2, 2: 1}.get(v, v)) for v in _SEVEN}}),
+    ("not_injective", {"map": {str(v): str(t) for v, t in zip(_SEVEN, [0, 3, 3, 1, 2, 4, 5])}}),
+    ("not_surjective", {"builtin": "depth_square"}),
+])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_reported_isometry_witness_has_the_reported_image_norm(tmp_path, reason, symbol, p):
+    weights = {str(v): 1.0 + v for v in _SEVEN}
+    doc = base_doc(weight={"weights": weights}, map=symbol, p=p, depth_ladder=[2])
+    iso = run_analyze(read_analysis_spec(write_spec(tmp_path, doc)))["entries"][0]["isometry"]
+    assert iso["reason"] == reason
+    tree = build_bary(2, 2)
+    weight = load_weight(tree, {"weights": weights})
+    op = compop.OperatorSpec(tree, weight, load_map(tree, symbol), p)
+    image = compop.apply(op, basis_vector(weight, int(iso["witness_vertex"]), p))
+    assert real_str(norm_p(image, weight, p)) == iso["witness_image_norm"]
+
+
+def test_deeply_nested_documents_are_document_errors(tmp_path, capsys):
+    deep = "[" * 100_000 + "]" * 100_000  # beyond the JSON reader's recursion
+    (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
+    (tmp_path / "tree.json").write_text(deep, encoding="utf-8")
+    # parses, but the report echoing the tree source would recurse 450 levels
+    nested = json.dumps(base_doc(tree={"generator": "bary", "branching": 2, "note": 0}))
+    (tmp_path / "nested.json").write_text(
+        nested.replace('"note": 0', '"note": ' + "[" * 450 + "]" * 450), encoding="utf-8")
+    cases = [
+        (tmp_path / "deep.json", "deep.json' is not valid JSON: nested too deeply"),
+        (write_spec(tmp_path, base_doc(tree={"file": "tree.json"}), "uses_tree.json"),
+         "tree.json' is not valid JSON: nested too deeply"),
+        (tmp_path / "nested.json", "analysis spec nests deeper than 8 levels"),
+    ]
+    for path, message in cases:
+        assert main(["analyze", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+def test_tables_are_resolved_on_the_whole_file_tree(tmp_path, capsys):
+    # the ladder [1, 3] stops above the depth-4 vertices of the file tree; their
+    # table rows are read and validated like any other row
+    doc = shuffled_tree_files(tmp_path)
+    below = load_tree(json.loads((tmp_path / "tree.json").read_text())).names[-1]
+    weights = json.loads((tmp_path / "weight.json").read_text())
+    write_doc(tmp_path, "negative.json", {"weights": weights["weights"] | {below: -1.0}})
+    del weights["weights"][below]
+    write_doc(tmp_path, "short.json", weights)
+    mapping = json.loads((tmp_path / "map.json").read_text())
+    write_doc(tmp_path, "bogus.json", {"map": mapping["map"] | {below: "bogus"}})
+    cases = [
+        ({"weight": {"file": "negative.json"}},
+         f"weight at vertex '{below}' must be a finite positive real, got -1.0"),
+        ({"weight": {"file": "short.json"}}, f"weight document is missing vertex '{below}'"),
+        ({"map": {"file": "bogus.json"}}, f"map sends vertex '{below}' to unknown vertex 'bogus'"),
+    ]
+    for i, (source, message) in enumerate(cases):
+        path = write_spec(tmp_path, doc | source, f"bad{i}.json")
+        for command in ("analyze", "adversary"):
+            assert main([command, path]) == 2
+            assert message in capsys.readouterr().err
+
+    # a map target below the deepest entry fails only the commands that use the map
+    tree = build_bary(1, 3)
+    write_doc(tmp_path, "path.json", dump_tree(tree))
+    write_doc(tmp_path, "deep_target.json", {"map": {"0": "0", "1": "3", "2": "1", "3": "2"}})
+    path = write_spec(tmp_path, base_doc(tree={"file": "path.json"}, map={"file": "deep_target.json"},
+                                         depth_ladder=[2]), "deep_target_spec.json")
+    assert main(["adversary", path]) == 0
+    assert main(["analyze", path]) == 2

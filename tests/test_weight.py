@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -85,6 +86,15 @@ def test_load_weight_rejects_zero_naming_vertex():
     t = build_bary(2, 1)
     with pytest.raises(DocumentError, match="'1'"):
         load_weight(t, {"weights": {"0": 1.0, "1": 0.0, "2": 1.0}})
+
+
+@pytest.mark.parametrize("text, shown", [("-2", "-2.0"), ("-2.5", "-2.5"), ("1e-400", "0.0")])
+def test_weight_refusal_shows_the_table_value_as_a_float(text, shown):
+    # 1e-400 underflows to 0.0 when the document is read
+    doc = json.loads('{"weights": {"0": 1.0, "1": %s, "2": 1.0}}' % text)
+    with pytest.raises(DocumentError) as refusal:
+        load_weight(build_bary(2, 1), doc)
+    assert str(refusal.value) == f"weight at vertex '1' must be a finite positive real, got {shown}"
 
 
 def test_load_weight_missing_and_unknown_vertices():
