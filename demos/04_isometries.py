@@ -3,7 +3,7 @@
 Exactly when the symbol is a bijection of the vertex set and every weight
 ratio weight(v)/weight(symbol(v)) equals 1. The check returns a witness on
 failure: a vertex whose normalized indicator is a unit function with image
-norm other than 1. At p = 2 the
+norm other than 1; its preimage under the symbol shows why. At p = 2 the
 verdict coincides with the operator matrix being orthogonal.
 """
 
@@ -35,10 +35,10 @@ values[moved_vertex] *= 1.01
 spec = OperatorSpec(tree, custom_weight(tree, values), symbol, 2.0)
 verdict = isometry_check(spec)
 print(f"isometry: {verdict.is_isometry} (reason: {verdict.reason})")
-v = verdict.ratio_vertex
-print(f"ratio vertex {v}: weight ratio = "
-      f"{values[v] / values[int(symbol.image[v])]:.6f} (should be 1)")
 u = verdict.witness_vertex
+(v,) = np.flatnonzero(symbol.image == u)  # the preimage of the witness
+print(f"ratio vertex {v}: weight ratio = "
+      f"{values[v] / values[u]:.6f} (should be 1)")
 print(f"the normalized indicator of witness vertex {u} = symbol({v}) maps to norm "
       f"{verdict.witness_image_norm:.6f}")
 
@@ -51,6 +51,7 @@ for label, w in (("constant", weight), ("nudged", custom_weight(tree, values))):
 print("\n== a non-injective symbol can never be an isometry ==")
 spec = OperatorSpec(tree, weight, parent_map(tree), 2.0)
 verdict = isometry_check(spec)
+shared_by = np.flatnonzero(spec.symbol.image == verdict.witness_vertex).tolist()
 print(f"parent map: isometry={verdict.is_isometry}, reason={verdict.reason}, "
-      f"collision={verdict.collision}, witness vertex={verdict.witness_vertex}, "
+      f"witness vertex={verdict.witness_vertex}, shared by {shared_by}, "
       f"witness image norm={verdict.witness_image_norm:.6f}")

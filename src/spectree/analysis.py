@@ -18,10 +18,10 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .compop import (OperatorSpec, boundedness_report, boundedness_trend,
+from .compop import (VERDICT_COMPACT, OperatorSpec, boundedness_report, boundedness_trend,
                      compactness_profile, isometry_check, ratio_sup, tail_defect)
 from .errors import DocumentError
-from .schatten import SpectralReport, schatten_trend, spectral_report
+from .schatten import schatten_trend, spectral_report
 from .selfmap import SelfMap, adversary_unbounded, adversary_vanishing, dump_map, load_map
 from .tree import (Tree, build_bary, document_int, document_real, dump_tree, load_tree,
                    truncate)
@@ -302,8 +302,8 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
         bnd = boundedness_report(op)
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)
-        dom = op.symbol.domain
-        eff_depth = int(tree.depth[dom].max()) if dom.size else -1
+        dom = op.symbol.domain  # ascending, and depth is nondecreasing along the ids
+        eff_depth = int(tree.depth[dom[-1]]) if dom.size else -1
         entry = {
             "depth": depth,
             "vertex_count": len(tree),
@@ -331,7 +331,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
             "compactness": {
                 "tail_sups": [real_str(v) for v in comp.values],
                 "verdict": comp.verdict,
-                "compact_consistent": comp.compact_consistent,
+                "compact_consistent": comp.verdict == VERDICT_COMPACT,
                 "tail_slope": None if comp.tail_slope is None else real_str(comp.tail_slope),
                 "frontier_cliff": comp.frontier_cliff,
                 "max_image_depth": comp.max_image_depth,
@@ -350,23 +350,6 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         "verdict": boundedness_trend(sups),
     }
     return report
-
-
-def oracle_spectral_report(op: OperatorSpec, exponents) -> SpectralReport:
-    """Spectral report assembled purely from the dense oracle: singular
-    values from the Jacobi SVD, sums and the Hilbert-Schmidt norm from those
-    values, the trace from the matrix diagonal."""
-    matrix = oracle_mod.matrix_of(op)
-    values = oracle_mod.svd_values(matrix)
-    trace = float(np.trace(matrix))
-    return SpectralReport(
-        singular_values=values,
-        schatten_sums={float(q): float(np.sum(values ** float(q))) for q in exponents},
-        hs_norm=float(np.sqrt(np.sum(values ** 2))),
-        trace_diagonal=trace,
-        fixed_point_count=int(round(trace)),
-        source="oracle",
-    )
 
 
 def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray | None]]:
@@ -394,15 +377,18 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray
                 f"skipped: {len(op.tree)} vertices exceed the dense-oracle cap "
                 f"{spec.oracle_max_vertices}")
         else:
-            orep = oracle_spectral_report(op, spec.schatten_exponents)
-            oracle_values = orep.singular_values
+            # every oracle figure is read off the dense matrix, none off the analytic path
+            matrix = oracle_mod.matrix_of(op)
+            oracle_values = oracle_mod.svd_values(matrix)
+            trace = float(np.trace(matrix))
+            del matrix  # n^2 floats; freed before the next, larger entry is formed
             oracle_entry.update({
                 "checked": True,
                 "max_abs_difference": real_str(float(np.max(np.abs(analytic - oracle_values)))),
-                "hs_norm": real_str(orep.hs_norm),
-                "trace": real_str(orep.trace_diagonal),
-                "fixed_point_count": orep.fixed_point_count,
-                "schatten_sums": {real_str(q): real_str(orep.schatten_sums[q])
+                "hs_norm": real_str(float(np.sqrt(np.sum(oracle_values ** 2)))),
+                "trace": real_str(trace),
+                "fixed_point_count": int(round(trace)),
+                "schatten_sums": {real_str(q): real_str(float(np.sum(oracle_values ** q)))
                                   for q in spec.schatten_exponents},
             })
         for q in spec.schatten_exponents:

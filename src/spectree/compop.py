@@ -1,7 +1,7 @@
 """The composition operator: f -> f o symbol on a weighted L^p truncation.
 
-All suprema are maxima over the stored vertex set; every report carries the
-truncation depth so the finite/infinite gap stays visible.
+All suprema are maxima over the stored vertex set; every report entry names
+its truncation depth so the finite/infinite gap stays visible.
 
 The operator norm admits a closed form at truncation scale: rearranging
 
@@ -75,10 +75,9 @@ class OperatorSpec:
     @cached_property
     def _h_tail(self) -> np.ndarray:
         """Entry k, for k = 0..D, is the largest h(u) over the vertices at
-        depth >= k; h is nonnegative, so an empty level contributes 0."""
-        m = np.zeros(self.tree.truncation_depth + 1, dtype=np.float64)
-        d = int(self.tree.depth[-1])  # levels 0..d are the nonempty ones
-        m[:d + 1] = np.maximum.reduceat(self._h, self.tree.level_start[:d + 1])
+        depth >= k; every level holds a vertex, so each level start is a
+        reduceat segment."""
+        m = np.maximum.reduceat(self._h, self.tree.level_start[:-1])
         return _read_only(np.maximum.accumulate(m[::-1])[::-1])
 
 
@@ -143,7 +142,8 @@ def operator_norm(spec: OperatorSpec) -> OperatorNorm:
 
 @dataclass(frozen=True)
 class BoundednessReport:
-    """Norm facts with the structural data that explains them."""
+    """Norm facts with the structural data that explains them; the
+    exponent, depth and vertex count are those of the operator."""
 
     ratio_sup: float
     ratio_sup_witness: int
@@ -154,9 +154,6 @@ class BoundednessReport:
     injective: bool
     multiplicity: int
     surjective: bool
-    p: float
-    truncation_depth: int
-    vertex_count: int
     domain_size: int
 
 
@@ -175,20 +172,21 @@ def boundedness_report(spec: OperatorSpec) -> BoundednessReport:
         injective=profile.injective,
         multiplicity=profile.max_multiplicity,
         surjective=profile.surjective_on_truncation,
-        p=spec.p,
-        truncation_depth=spec.tree.truncation_depth,
-        vertex_count=len(spec.tree),
         domain_size=profile.domain_size,
     )
 
 
 @dataclass(frozen=True)
 class IsometryVerdict:
+    """On failure, ``witness_vertex`` is the vertex u the ``reason`` names:
+    the first shared image (``not_injective``), the shallowest missed vertex
+    (``not_surjective``) or symbol(v) for the first ratio-violating v
+    (``ratio_deviation``). Its preimage,
+    ``np.flatnonzero(symbol.image == witness_vertex)``, is then the
+    colliding vertices, empty, or that v."""
+
     is_isometry: bool
     reason: str | None  # None | "not_injective" | "not_surjective" | "ratio_deviation"
-    collision: tuple[int, int] | None
-    missed_vertex: int | None
-    ratio_vertex: int | None
     witness_vertex: int | None  # u whose normalized indicator is the unit witness
     witness_image_norm: float | None
     frontier_only_misses: bool
@@ -212,7 +210,7 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
     first_miss = None if profile.surjective_on_truncation else int(np.argmax(counts == 0))
     frontier_only = first_miss is not None and bool(tree.depth[first_miss] == tree.truncation_depth)
 
-    def _failure(reason, u, preimage=(), collision=None, missed=None, ratio_v=None):
+    def _failure(reason, u, preimage=()):
         # the image is w(u)**(-1/p) on the preimage; at their vertex positions the terms
         # are grouped by the pairwise sum as in norm_p, so the norm is its dense one bit for bit
         norm = 0.0
@@ -221,20 +219,19 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
             terms = np.zeros(len(tree), dtype=np.float64)
             terms[preimage] = np.abs(c) ** p * lam[preimage]
             norm = float(np.sum(terms) ** (1.0 / p))
-        return IsometryVerdict(False, reason, collision, missed, ratio_v, u, norm, frontier_only)
+        return IsometryVerdict(False, reason, u, norm, frontier_only)
 
     if not profile.injective:
         shared = int(np.argmax(counts > 1))
-        pre = np.flatnonzero(spec.symbol.image == shared)
-        return _failure("not_injective", shared, pre, collision=tuple(pre[:2].tolist()))
+        return _failure("not_injective", shared, np.flatnonzero(spec.symbol.image == shared))
     if not profile.surjective_on_truncation:
-        return _failure("not_surjective", first_miss, missed=first_miss)  # empty preimage
+        return _failure("not_surjective", first_miss)  # empty preimage
 
     off = np.abs(spec._ratio - 1.0) > ratio_tol
     if off.any():
         v = int(spec.symbol.domain[int(np.argmax(off))])
-        return _failure("ratio_deviation", int(spec.symbol.image[v]), [v], ratio_v=v)
-    return IsometryVerdict(True, None, None, None, None, None, None, False)
+        return _failure("ratio_deviation", int(spec.symbol.image[v]), [v])
+    return IsometryVerdict(True, None, None, None, False)
 
 
 @dataclass(frozen=True)
@@ -248,8 +245,7 @@ class CompactnessProfile:
     """
 
     values: np.ndarray
-    compact_consistent: bool
-    verdict: str
+    verdict: str  # VERDICT_COMPACT or VERDICT_NOT_COMPACT
     tail_slope: float | None
     frontier_cliff: bool
     max_image_depth: int
@@ -289,7 +285,6 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
 
     return CompactnessProfile(
         values=s,
-        compact_consistent=consistent,
         verdict=VERDICT_COMPACT if consistent else VERDICT_NOT_COMPACT,
         tail_slope=slope,
         frontier_cliff=cliff,

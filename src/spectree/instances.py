@@ -17,14 +17,16 @@ from .weight import (Weight, constant_weight, custom_weight, geometric_weight,
                      reciprocal_depth_weight)
 
 _P_CHOICES = (1.0, 1.5, 2.0, 3.0)
+_MAX_BRANCHING = 3  # random trees are b-ary of depth 2.._MAX_DEPTH
+_MAX_DEPTH = 6
+_WEIGHT_LOW, _WEIGHT_HIGH = 0.01, 100.0  # random weights are uniform on this interval
 
 
-def random_bary_tree(rng: np.random.Generator, max_branching: int = 3,
-                     max_depth: int = 6, max_vertices: int = 600,
+def random_bary_tree(rng: np.random.Generator, max_vertices: int = 600,
                      min_vertices: int = 1) -> Tree:
     combos = [(b, d)
-              for b in range(1, max_branching + 1)
-              for d in range(2, max_depth + 1)
+              for b in range(1, _MAX_BRANCHING + 1)
+              for d in range(2, _MAX_DEPTH + 1)
               if (count := bary_vertex_count(b, d, max_vertices=max_vertices)) is not None
               and count >= min_vertices]
     if not combos:
@@ -33,9 +35,8 @@ def random_bary_tree(rng: np.random.Generator, max_branching: int = 3,
     return build_bary(b, d)
 
 
-def random_weight(rng: np.random.Generator, tree: Tree,
-                  low: float = 0.01, high: float = 100.0) -> Weight:
-    return custom_weight(tree, rng.uniform(low, high, len(tree)))
+def random_weight(rng: np.random.Generator, tree: Tree) -> Weight:
+    return custom_weight(tree, rng.uniform(_WEIGHT_LOW, _WEIGHT_HIGH, len(tree)))
 
 
 def random_permutation_map(rng: np.random.Generator, tree: Tree) -> SelfMap:

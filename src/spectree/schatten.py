@@ -78,12 +78,13 @@ def trace_diagonal(spec: OperatorSpec) -> TraceDiagonal:
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """The analytic spectral quantities of one operator."""
+
     singular_values: np.ndarray  # descending
     schatten_sums: Mapping[float, float]
     hs_norm: float
     trace_diagonal: float
     fixed_point_count: int
-    source: str  # "analytic" | "oracle"
 
     def __post_init__(self):
         sv = np.asarray(self.singular_values, dtype=np.float64)
@@ -93,8 +94,8 @@ class SpectralReport:
 
 
 def spectral_report(spec: OperatorSpec, exponents: Sequence[float] = (1.0, 2.0)) -> SpectralReport:
-    """Analytic spectral report; the oracle-sourced twin is assembled from the
-    dense SVD by the reporting layer."""
+    """Analytic spectral report; the reporting layer checks it against
+    the dense oracle."""
     _require_hilbert(spec)
     sums = {float(q): schatten_sum(spec, q) for q in exponents}
     trace = trace_diagonal(spec)
@@ -104,7 +105,6 @@ def spectral_report(spec: OperatorSpec, exponents: Sequence[float] = (1.0, 2.0))
         hs_norm=hs_norm(spec),
         trace_diagonal=trace.value,
         fixed_point_count=trace.fixed_point_count,
-        source="analytic",
     )
 
 

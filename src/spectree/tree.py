@@ -37,8 +37,6 @@ class Tree:
         ``parent[v]`` is the parent id of ``v``, ``-1`` for the root.
     depth:
         Edge distance to the root, nondecreasing along the ids.
-    truncation_depth:
-        Depth ``D`` of the stored frontier.
     names:
         Original document ids, or ``None`` for generated trees.
     terminal_gaps:
@@ -47,12 +45,12 @@ class Tree:
         documents; they are accepted but marked.
     level_start:
         ``D + 2`` offsets: the vertices at depth ``n`` are the ids
-        ``level_start[n]:level_start[n + 1]``.
+        ``level_start[n]:level_start[n + 1]``. Every level ``0..D`` holds
+        at least one vertex.
     """
 
     parent: np.ndarray
     depth: np.ndarray
-    truncation_depth: int
     names: tuple[str, ...] | None
     terminal_gaps: tuple[VertexId, ...]
     level_start: np.ndarray
@@ -63,6 +61,11 @@ class Tree:
 
     def __len__(self) -> int:
         return int(self.parent.shape[0])
+
+    @property
+    def truncation_depth(self) -> int:
+        """Depth ``D`` of the stored frontier, the depth of the last vertex."""
+        return len(self.level_start) - 2
 
     def name_of(self, v: VertexId) -> str:
         return self.names[v] if self.names is not None else str(v)
@@ -87,8 +90,7 @@ def _check_vertex(tree: Tree, v: int) -> int:
     return v
 
 
-def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
-              truncation_depth: int | None = None) -> Tree:
+def _assemble(parent: np.ndarray, names: tuple[str, ...] | None) -> Tree:
     """The tree ``parent`` describes (``-1`` at its root), renumbered into
     level order with siblings in input order; ``names`` is renumbered too."""
     parent = np.asarray(parent, dtype=np.int64)
@@ -127,20 +129,15 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None,
         name = names[v] if names is not None else str(v)
         raise DocumentError(f"cycle detected: vertex '{name}' is not reachable from the root")
 
-    d_max = len(levels) - 1
-    if truncation_depth is None:
-        truncation_depth = d_max
-    elif truncation_depth < d_max:
-        raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
-    sizes = [0] + [level.size for level in levels] + [0] * (truncation_depth - d_max)
+    sizes = [0] + [level.size for level in levels]
 
     # new id i is input vertex order[i]; the root's parent -1 reads new_id[-1]
     order = np.concatenate(levels)
     new_id = np.full(n + 1, -1, dtype=np.int64)
     new_id[order] = np.arange(n)
     depth = depth[order]
-    gaps = np.flatnonzero((n_kids[order] == 0) & (depth < truncation_depth))
-    return Tree(parent=new_id[parent[order]], depth=depth, truncation_depth=int(truncation_depth),
+    gaps = np.flatnonzero((n_kids[order] == 0) & (depth < len(levels) - 1))
+    return Tree(parent=new_id[parent[order]], depth=depth,
                 names=None if names is None else tuple(map(names.__getitem__, order.tolist())),
                 terminal_gaps=tuple(gaps.tolist()), level_start=np.cumsum(sizes, dtype=np.int64))
 
@@ -164,8 +161,7 @@ def bary_vertex_count(branching: int, depth: int, branch_until: int | None = Non
     return total + (depth - bu) * width
 
 
-def build_bary(branching: int, depth: int, branch_until: int | None = None,
-               max_vertices: int = _MAX_GENERATED_VERTICES) -> Tree:
+def build_bary(branching: int, depth: int, branch_until: int | None = None) -> Tree:
     """Uniform b-ary truncation: every vertex above the frontier has
     ``branching`` children and all leaves sit at ``depth``.
 
@@ -184,10 +180,10 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None,
     if bu < 0:
         raise ValueError("branch_until must be >= 0")
 
-    n = bary_vertex_count(branching, depth, bu, max_vertices)
+    n = bary_vertex_count(branching, depth, bu)
     if n is None:
         raise ValueError(
-            f"refusing to materialize more than {max_vertices} vertices; "
+            f"refusing to materialize more than {_MAX_GENERATED_VERTICES} vertices; "
             "taper deep truncations with branch_until")
 
     # ids run in level order: in the complete b-ary part v hangs below
@@ -198,8 +194,7 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None,
     parent[:m] = np.arange(-1, m - 1, dtype=np.int64) // branching
     widths = branching ** np.minimum(np.arange(depth + 1, dtype=np.int64), bu)
     return Tree(parent=parent, depth=np.repeat(np.arange(depth + 1, dtype=np.int64), widths),
-                truncation_depth=depth, names=None, terminal_gaps=(),
-                level_start=np.cumsum(np.append(0, widths)))
+                names=None, terminal_gaps=(), level_start=np.cumsum(np.append(0, widths)))
 
 
 def load_tree(document: Mapping) -> Tree:
@@ -346,6 +341,6 @@ def truncate(tree: Tree, new_depth: int) -> Tree:
     # a kept vertex above the new frontier keeps all its children, so the
     # gaps are the old ones above the new frontier
     gaps = tree.terminal_gaps[:bisect.bisect_left(tree.terminal_gaps, tree.level_start[new_depth])]
-    return Tree(parent=tree.parent[:n], depth=tree.depth[:n], truncation_depth=new_depth,
+    return Tree(parent=tree.parent[:n], depth=tree.depth[:n],
                 names=None if tree.names is None else tree.names[:n], terminal_gaps=gaps,
                 level_start=tree.level_start[:new_depth + 2])

@@ -14,8 +14,7 @@ from . import oracle
 from .analysis import SCHEMA_VERSION, serialize_instance
 from .compop import (OperatorSpec, apply, compactness_profile, isometry_check,
                      operator_norm, ratio_sup, tail_defect)
-from .instances import (random_bary_tree, random_bounded_multiplicity_map,
-                        random_function, random_injective_spec,
+from .instances import (_P_CHOICES, random_bary_tree, random_function, random_injective_spec,
                         random_multiplicity_spec, random_nonidentity_permutation_map,
                         random_unit_function, random_weight)
 from .lpspace import basis_vector, norm_p, point_eval_norm, project
@@ -23,8 +22,6 @@ from .schatten import hs_norm, schatten_sum, singular_values_analytic, trace_dia
 from .selfmap import adversary_unbounded, adversary_vanishing, analyze
 from .tree import build_bary
 from .weight import bounds, constant_weight, custom_weight, geometric_weight, reciprocal_depth_weight
-
-_P_GRID = (1.0, 1.5, 2.0, 3.0)
 
 
 class _Recorder:
@@ -51,13 +48,13 @@ def suite_lpspace(seed: int) -> dict:
     for _ in range(6):
         tree = random_bary_tree(rng, max_vertices=200)
         weight = random_weight(rng, tree)
-        for p in _P_GRID:
+        for p in _P_CHOICES:
             for v in rng.integers(0, len(tree), size=6):
                 f = basis_vector(weight, int(v), p)
                 rec.check(abs(norm_p(f, weight, p) - 1.0) <= 1e-12,
                           f"normalized indicator of vertex {v} has p-norm != 1 (p={p})")
         for _ in range(8):
-            p = _P_GRID[int(rng.integers(len(_P_GRID)))]
+            p = _P_CHOICES[int(rng.integers(len(_P_CHOICES)))]
             f = random_function(rng, tree)
             g = random_function(rng, tree)
             nf, ng = norm_p(f, weight, p), norm_p(g, weight, p)
@@ -122,7 +119,7 @@ def suite_isometry(seed: int) -> dict:
         tree = random_bary_tree(rng, max_vertices=200)
         weight = constant_weight(tree, float(rng.uniform(0.1, 10.0)))
         symbol = random_nonidentity_permutation_map(rng, tree)
-        p = _P_GRID[int(rng.integers(len(_P_GRID)))]
+        p = _P_CHOICES[int(rng.integers(len(_P_CHOICES)))]
         op = OperatorSpec(tree, weight, symbol, p)
         verdict = isometry_check(op)
         rec.check(verdict.is_isometry,
@@ -185,10 +182,7 @@ def suite_schatten(seed: int) -> dict:
         if i % 2 == 0:
             op = random_injective_spec(rng, p=2.0, max_vertices=200)
         else:
-            mult = int(rng.integers(2, 5))
-            tree = random_bary_tree(rng, max_vertices=200, min_vertices=mult + 2)
-            op = OperatorSpec(tree, random_weight(rng, tree),
-                              random_bounded_multiplicity_map(rng, tree, mult), 2.0)
+            op = random_multiplicity_spec(rng, int(rng.integers(2, 5)), p=2.0, max_vertices=200)
         analytic = singular_values_analytic(op)
         matrix = oracle.matrix_of(op)
         numeric = oracle.svd_values(matrix)

@@ -87,11 +87,24 @@ def documents(workdir: Path) -> dict[str, tuple[str, ...]]:
                         {"tree": tree, "weight": weight, "map": symbol, "p": p,
                          "depth_ladder": ladder}, commands)
     # an explicit map swapping vertices 1 and 2 under the weight 1 + v
+    swap = {"map": {str(v): str({1: 2, 2: 1}.get(v, v)) for v in range(7)}}
     specs["swap-1-2.json"] = ({
         "tree": {"generator": "bary", "branching": 2},
         "weight": {"weights": {str(v): 1.0 + v for v in range(7)}},
-        "map": {"map": {str(v): str({1: 2, 2: 1}.get(v, v)) for v in range(7)}},
-        "p": 2, "depth_ladder": [1, 2]}, ("analyze", "spectrum"))
+        "map": swap, "p": 2, "depth_ladder": [1, 2]}, ("analyze", "spectrum"))
+    # the same swap under the weight 1 + v / 100, whose ratios the wider
+    # isometry tolerance accepts
+    specs["tolerances.json"] = ({
+        "tree": {"generator": "bary", "branching": 2},
+        "weight": {"weights": {str(v): 1.0 + v / 100 for v in range(7)}},
+        "map": swap, "p": 2, "depth_ladder": [1, 2],
+        "tolerances": {"isometry_ratio": 0.05, "compactness_decay_ratio": 0.5}}, ("analyze",))
+    # the spectrum oracle switched off, and capped below the deepest entry (31 vertices)
+    tree, ladder = TREES[2]
+    for name, oracle in (("oracle-disabled.json", {"enabled": False}),
+                         ("oracle-capped.json", {"max_vertices": 10})):
+        specs[name] = ({"tree": tree, "weight": WEIGHTS["geometric"], "map": MAPS["parent"],
+                        "p": 2, "depth_ladder": ladder, "oracle": oracle}, ("spectrum",))
     specs["file-tree.json"] = (dict(_file_tree_documents(workdir), p=2),
                                ("analyze", "spectrum", "adversary"))
     for name, (doc, _) in specs.items():

@@ -11,7 +11,8 @@ from spectree import (OperatorSpec, apply, basis_vector, boundedness_report,
                       constant_weight, custom_weight, depth_square_map,
                       geometric_weight, identity_map, isometry_check,
                       level_shift_map, norm_p, operator_norm, parent_map,
-                      preimage_ratio, ratio_sup, reciprocal_depth_weight, tail_defect)
+                      preimage_ratio, ratio_sup, reciprocal_depth_weight, tail_defect,
+                      truncate)
 from spectree.compop import TREND_PLATEAU, TREND_UNBOUNDED, VERDICT_COMPACT, VERDICT_NOT_COMPACT
 from spectree.instances import (random_bounded_multiplicity_map, random_function,
                                 random_injective_spec, random_multiplicity_spec,
@@ -107,8 +108,6 @@ def test_boundedness_report_fields():
     spec = spec_of(t, reciprocal_depth_weight(t), depth_square_map(t))
     rep = boundedness_report(spec)
     assert rep.injective and not rep.surjective
-    assert rep.truncation_depth == 9
-    assert rep.vertex_count == len(t)
     assert rep.domain_size == sum(2 ** k for k in range(4))
     assert rep.norm_lower_bound == pytest.approx(rep.operator_norm, rel=1e-12)
 
@@ -126,33 +125,49 @@ def test_isometry_identity_and_bijections():
         assert verdict.reason is None
 
 
-def test_isometry_fails_for_parent_map_with_collision_witness():
+def _parent_map_collision():
+    # the root's preimage is the root and its two children; the misses are the frontier
     t = build_bary(2, 2)
-    spec = spec_of(t, constant_weight(t, 1.0), parent_map(t))
-    verdict = isometry_check(spec)
-    assert not verdict.is_isometry
-    assert verdict.reason == "not_injective"
-    a, b = verdict.collision
-    assert spec.symbol.image[a] == spec.symbol.image[b] and a != b
-    assert verdict.witness_image_norm == pytest.approx(math.sqrt(3), rel=1e-12)
+    return spec_of(t, constant_weight(t, 1.0), parent_map(t))
 
 
-def test_isometry_fails_on_ratio_deviation_with_unit_witness():
+def _depth_square_misses():
+    # injective on a partial domain, missing vertices at depths 2, 3, 5, ...
+    t = build_bary(2, 9)
+    return spec_of(t, constant_weight(t, 1.0), depth_square_map(t))
+
+
+def _nudged_bijection():
     t = build_bary(2, 3)
-    rng = np.random.default_rng(5)
-    symbol = random_permutation_map(rng, t)
+    symbol = random_permutation_map(np.random.default_rng(5), t)
     values = np.full(len(t), 2.0)
-    moved = int(np.flatnonzero(symbol.image != np.arange(len(t)))[0])
-    values[moved] *= 1.01
-    spec = spec_of(t, custom_weight(t, values), symbol)
+    values[int(np.flatnonzero(symbol.image != np.arange(len(t)))[0])] *= 1.01
+    return spec_of(t, custom_weight(t, values), symbol)
+
+
+_ISOMETRY_FAILURES = {  # reason -> (operator, witness preimage size, frontier_only_misses)
+    "not_injective": (_parent_map_collision, 3, True),
+    "not_surjective": (_depth_square_misses, 0, False),
+    "ratio_deviation": (_nudged_bijection, 1, False),
+}
+
+
+@pytest.mark.parametrize("reason", sorted(_ISOMETRY_FAILURES))
+def test_isometry_failure_witness(reason):
+    build, preimage_size, frontier_only = _ISOMETRY_FAILURES[reason]
+    spec = build()
     verdict = isometry_check(spec)
     assert not verdict.is_isometry
-    assert verdict.reason == "ratio_deviation"
-    v = verdict.ratio_vertex
-    ratio = values[v] / values[int(symbol.image[v])]
-    assert abs(ratio - 1.0) > 1e-12
-    assert norm_p(basis_vector(spec.weight, verdict.witness_vertex, spec.p),
+    assert verdict.reason == reason
+    assert verdict.frontier_only_misses == frontier_only
+    u, lam = verdict.witness_vertex, spec.weight.values
+    pre = np.flatnonzero(spec.symbol.image == u)
+    assert len(pre) == preimage_size
+    # the witness is a unit function whose image norm is not 1
+    assert norm_p(basis_vector(spec.weight, u, spec.p),
                   spec.weight, spec.p) == pytest.approx(1.0, rel=1e-12)
+    assert verdict.witness_image_norm == pytest.approx(
+        (lam[pre].sum() / lam[u]) ** (1.0 / spec.p), rel=1e-12, abs=1e-15)
     assert abs(verdict.witness_image_norm - 1.0) > 1e-6
 
 
@@ -166,7 +181,7 @@ def test_isometry_flags_frontier_only_misses():
     verdict = isometry_check(frontier_miss)
     assert not verdict.is_isometry
     assert verdict.reason == "not_surjective"
-    assert verdict.missed_vertex == 2
+    assert verdict.witness_vertex == 2
     assert verdict.frontier_only_misses
     # missing the root instead: the gap is not a truncation artifact
     root_miss = spec_of(t, w, SelfMap(t, np.array([1, 2, -1])))
@@ -175,16 +190,6 @@ def test_isometry_flags_frontier_only_misses():
     assert not verdict.frontier_only_misses
     # a full cyclic shift is a bijection, hence an isometry at constant weight
     assert isometry_check(spec_of(t, w, SelfMap(t, np.array([1, 2, 0])))).is_isometry
-
-
-def test_non_surjective_injective_partial_map_witness():
-    t = build_bary(2, 9)
-    spec = spec_of(t, constant_weight(t, 1.0), depth_square_map(t))
-    verdict = isometry_check(spec)
-    assert not verdict.is_isometry
-    assert verdict.reason == "not_surjective"
-    assert verdict.witness_image_norm == pytest.approx(0.0, abs=1e-15)
-    assert not verdict.frontier_only_misses  # misses at depths 2, 3, 5, ...
 
 
 _P_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -200,15 +205,18 @@ def reference_witness_image_norm(spec, witness_at):
 
 def assert_witness_is_exact(spec):
     verdict = isometry_check(spec)
-    u, image = verdict.witness_vertex, spec.symbol.image
-    if verdict.reason == "not_injective":
-        assert image[verdict.collision[0]] == image[verdict.collision[1]] == u
-    elif verdict.reason == "not_surjective":
-        assert u == verdict.missed_vertex
-    elif verdict.reason == "ratio_deviation":
-        assert u == image[verdict.ratio_vertex]
+    u, lam = verdict.witness_vertex, spec.weight.values
+    if u is None:
+        assert verdict.reason is None
     else:
-        assert u is None
+        pre = np.flatnonzero(spec.symbol.image == u)
+        if verdict.reason == "not_injective":
+            assert len(pre) > 1
+        elif verdict.reason == "not_surjective":
+            assert len(pre) == 0
+        else:
+            assert verdict.reason == "ratio_deviation" and len(pre) == 1
+            assert abs(lam[pre[0]] / lam[u] - 1.0) > 1e-12
     assert verdict.witness_image_norm == reference_witness_image_norm(spec, u)
     return verdict
 
@@ -416,13 +424,15 @@ def test_tails_match_the_full_tree_reference(shape, kind, p, seed, data):
             assert tail_defect(spec, n, N) == reference_tail_defect(spec, n, N)
 
 
-@given(st.sampled_from(_SHAPES), st.integers(0, 3),
+@given(st.lists(st.integers(0, 2 ** 16), min_size=1, max_size=40),
        st.sampled_from(["permutation", "multiplicity", "level_shift"]),
        st.integers(0, 2 ** 32 - 1), st.data())
-def test_h_tail_matches_the_scatter_reference_past_the_deepest_vertex(shape, extra, kind, seed, data):
-    # the truncation depth runs ``extra`` empty levels past the deepest vertex
-    t = build_bary(*shape)
-    t = _assemble(t.parent, None, t.truncation_depth + extra)
+def test_h_tail_matches_the_scatter_reference_on_ragged_levels(picks, kind, seed, data):
+    # levels of uneven size, single-vertex chains among them, cut at any depth:
+    # each vertex continues a chain or hangs off a random earlier vertex
+    parent = [-1] + [v - 1 if pick % 3 == 0 else pick % v for v, pick in enumerate(picks, start=1)]
+    t = _assemble(np.array(parent), None)
+    t = truncate(t, data.draw(st.integers(1, t.truncation_depth)))
     rng = np.random.default_rng(seed)
     if kind == "permutation":
         symbol = random_permutation_map(rng, t)

@@ -150,7 +150,6 @@ def test_spectral_report_consistency():
     t = build_bary(2, 2)
     spec = spec2(t, constant_weight(t, 1.0), parent_map(t))
     rep = spectral_report(spec, exponents=(1.0, 2.0))
-    assert rep.source == "analytic"
     assert rep.hs_norm ** 2 == pytest.approx(rep.schatten_sums[2.0], rel=1e-12)
     assert rep.fixed_point_count == 1
     assert rep.singular_values[0] >= rep.singular_values[-1]

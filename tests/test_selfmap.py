@@ -251,11 +251,12 @@ def test_profile_and_isometry_witnesses_match_the_dict_reference(shape, data):
 
     verdict = isometry_check(OperatorSpec(t, constant_weight(t, 1.0), symbol, 2.0))
     misses = [u for u in range(n) if not index[u]]
+    witness_preimage = tuple(np.flatnonzero(symbol.image == verdict.witness_vertex).tolist())
     if not prof.injective:
         shared = next(u for u, pre in index.items() if len(pre) > 1)
-        assert verdict.collision == index[shared][:2]
+        assert verdict.witness_vertex == shared and witness_preimage == index[shared]
     elif misses:
-        assert verdict.missed_vertex == misses[0]
+        assert verdict.witness_vertex == misses[0] and witness_preimage == ()
     else:
         assert verdict.is_isometry
     assert verdict.frontier_only_misses == (

@@ -231,9 +231,10 @@ def test_oversized_generators_are_refused_before_allocating():
             build_bary(b, d)
         # the size check is arithmetic on at most ~23 levels, never a list
         assert time.perf_counter() - began < 1.0
-    with pytest.raises(ValueError, match="more than 6 vertices"):
-        build_bary(2, 2, max_vertices=6)
-    assert len(build_bary(2, 2, max_vertices=7)) == 7
+    # a path of 5000000 vertices is within the cap, one vertex more is not
+    assert bary_vertex_count(1, 4_999_999) == 5_000_000
+    with pytest.raises(ValueError, match="more than 5000000 vertices"):
+        build_bary(1, 5_000_000)
 
 
 def test_bary_vertex_count_matches_the_built_tree():
@@ -241,10 +242,12 @@ def test_bary_vertex_count_matches_the_built_tree():
         assert bary_vertex_count(b, d, bu) == len(build_bary(b, d, bu))
     assert bary_vertex_count(2, 3, max_vertices=14) is None
     assert bary_vertex_count(2, 3, max_vertices=15) == 15
+    assert bary_vertex_count(2, 2, max_vertices=6) is None
+    assert bary_vertex_count(2, 2, max_vertices=7) == 7
     assert bary_vertex_count(1, 10 ** 100) is None
 
 
-def reference_assemble(parent, truncation_depth=None):
+def reference_assemble(parent):
     """Pure-Python assembly: children lists, BFS depths, DFS preorder ranks
     and a per-vertex gap scan. Returns (depth, levels, terminal_gaps)."""
     parent = np.asarray(parent, dtype=np.int64)
@@ -267,10 +270,6 @@ def reference_assemble(parent, truncation_depth=None):
         raise DocumentError(f"cycle detected: vertex '{v}' is not reachable from the root")
 
     d_max = int(depth.max())
-    if truncation_depth is None:
-        truncation_depth = d_max
-    elif truncation_depth < d_max:
-        raise ValueError(f"stored vertices reach depth {d_max} > truncation depth {truncation_depth}")
 
     rank = np.empty(n, dtype=np.int64)
     stack = [root]
@@ -281,9 +280,9 @@ def reference_assemble(parent, truncation_depth=None):
         r += 1
         stack.extend(reversed(children[v]))
     order = np.lexsort((rank, depth))
-    cuts = np.searchsorted(depth[order], np.arange(truncation_depth + 2))
-    levels = [order[cuts[k]:cuts[k + 1]] for k in range(truncation_depth + 1)]
-    gaps = tuple(v for v in range(n) if depth[v] < truncation_depth and not children[v])
+    cuts = np.searchsorted(depth[order], np.arange(d_max + 2))
+    levels = [order[cuts[k]:cuts[k + 1]] for k in range(d_max + 1)]
+    gaps = tuple(v for v in range(n) if depth[v] < d_max and not children[v])
     return depth, levels, gaps
 
 
@@ -306,8 +305,7 @@ def parent_arrays(draw, cycles=True):
     relabeled = np.empty(n, dtype=np.int64)
     for v in range(n):
         relabeled[new_id[v]] = -1 if v == 0 else new_id[parent[v]]
-    truncation_depth = draw(st.none() | st.integers(0, n + 1))
-    return relabeled, truncation_depth
+    return relabeled
 
 
 def _has_ancestor(parent, w, v):
@@ -322,30 +320,30 @@ def _int64_read_only(tree):
 
 
 @given(parent_arrays())
-def test_assembly_matches_the_pure_python_reference(case):
-    parent, truncation_depth = case
+def test_assembly_matches_the_pure_python_reference(parent):
     # names carry the input ids through the renumbering into level order
     names = tuple(str(v) for v in range(len(parent)))
     try:
-        depth, levels, gaps = reference_assemble(parent, truncation_depth)
-    except (DocumentError, ValueError) as exc:
+        depth, levels, gaps = reference_assemble(parent)
+    except DocumentError as exc:
         for given_names in (None, names):
-            with pytest.raises(type(exc)) as raised:
-                _assemble(parent, given_names, truncation_depth)
+            with pytest.raises(DocumentError) as raised:
+                _assemble(parent, given_names)
             assert str(raised.value) == str(exc)
         return
-    t = _assemble(parent, names, truncation_depth)
+    t = _assemble(parent, names)
     old = np.array([int(name) for name in t.names], dtype=np.int64)  # input id of each new id
     assert [list(old[t.level_start[k]:t.level_start[k + 1]]) for k in range(len(levels))] \
         == [list(lvl) for lvl in levels]
     assert len(t.level_start) == len(levels) + 1 and t.level_start[-1] == len(t)
+    assert (np.diff(t.level_start) > 0).all()
     assert np.array_equal(t.depth, depth[old])
     assert t.parent[0] == -1 and parent[old[0]] == -1
     assert np.array_equal(old[t.parent[1:]], parent[old[1:]])
     assert tuple(sorted(old[list(t.terminal_gaps)].tolist())) == gaps
     assert list(t.terminal_gaps) == sorted(t.terminal_gaps)
     assert _int64_read_only(t)
-    unnamed = _assemble(parent, None, truncation_depth)
+    unnamed = _assemble(parent, None)
     assert unnamed.names is None and unnamed.terminal_gaps == t.terminal_gaps
     for field in ("parent", "depth", "level_start"):
         assert np.array_equal(getattr(unnamed, field), getattr(t, field))
@@ -356,7 +354,7 @@ def test_build_bary_matches_the_assembly_of_its_parent_array():
         for d in range(7):
             for bu in (None, 0, 1, 2, 4, 9):
                 t = build_bary(b, d, bu)
-                u = _assemble(t.parent, None, d)
+                u = _assemble(t.parent, None)
                 for field in ("parent", "depth", "level_start"):
                     assert np.array_equal(getattr(t, field), getattr(u, field))
                 assert (t.truncation_depth, t.names, t.terminal_gaps) \
@@ -398,23 +396,21 @@ def reference_truncate(tree, new_depth):
     parent = np.concatenate((np.array([-1], dtype=np.int64),
                              remap[tree.parent[keep[1:]]]))
     names = None if tree.names is None else tuple(tree.names[int(v)] for v in keep)
-    return _assemble(parent, names=names, truncation_depth=new_depth)
+    return _assemble(parent, names=names)
 
 
 @given(parent_arrays(cycles=False), st.booleans(), st.data())
-def test_truncate_matches_reassembly(case, named, data):
-    parent, truncation_depth = case
+def test_truncate_matches_reassembly(parent, named, data):
     n = len(parent)
     names = tuple(f"v{i}" for i in data.draw(st.permutations(range(n)))) if named else None
-    if truncation_depth is not None and truncation_depth < reference_assemble(parent)[0].max():
-        truncation_depth = None
-    tree = _assemble(parent, names, truncation_depth)
+    tree = _assemble(parent, names)
     new_depth = data.draw(st.integers(0, tree.truncation_depth))
     got, want = truncate(tree, new_depth), reference_truncate(tree, new_depth)
     assert got.truncation_depth == want.truncation_depth == new_depth
     assert np.array_equal(got.parent, want.parent)
     assert np.array_equal(got.depth, want.depth)
     assert np.array_equal(got.level_start, want.level_start)
+    assert (np.diff(got.level_start) > 0).all()
     assert got.terminal_gaps == want.terminal_gaps
     assert got.names == want.names
     assert _int64_read_only(got)

@@ -41,8 +41,7 @@ def test_isometry_checker_flags_injected_ratio_perturbation():
     spec = OperatorSpec(tree, custom_weight(tree, values), symbol, 2.0)
     verdict = isometry_check(spec)
     assert not verdict.is_isometry
-    witness = verdict.ratio_vertex
-    assert witness is not None
+    (witness,) = np.flatnonzero(symbol.image == verdict.witness_vertex)
     ratio = values[witness] / values[int(symbol.image[witness])]
     assert abs(ratio - 1.0) > 1e-12
 
