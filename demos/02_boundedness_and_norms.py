@@ -9,9 +9,9 @@ confirm the closed form from below and from the spectrum.
 
 import numpy as np
 
-from spectree import (OperatorSpec, boundedness_report, build_bary,
-                      constant_weight, matrix_of, norm_search, operator_norm,
-                      parent_map, ratio_sup, svd_values)
+from spectree import (OperatorSpec, build_bary, constant_weight, matrix_of,
+                      norm_search, operator_norm, parent_map, ratio_sup,
+                      svd_values)
 from spectree.instances import (random_bounded_multiplicity_map,
                                 random_permutation_map, random_weight)
 
@@ -20,10 +20,10 @@ rng = np.random.default_rng(7)
 print("== the textbook example: parent map, constant weight, p = 2 ==")
 tree = build_bary(2, 2)
 spec = OperatorSpec(tree, constant_weight(tree, 1.0), parent_map(tree), 2.0)
-rep = boundedness_report(spec)
-print(f"ratio_sup = {rep.ratio_sup}, multiplicity = {rep.multiplicity}")
-print(f"exact norm = {rep.operator_norm:.8f}  (sqrt(3): the root absorbs itself and both children)")
-print(f"sandwich:   {rep.norm_lower_bound:.8f} <= norm <= {rep.norm_upper_bound:.8f}")
+rs, nrm, mult = ratio_sup(spec).value, operator_norm(spec).value, spec.profile.max_multiplicity
+print(f"ratio_sup = {rs}, multiplicity = {mult}")
+print(f"exact norm = {nrm:.8f}  (sqrt(3): the root absorbs itself and both children)")
+print(f"sandwich:   {rs ** 0.5:.8f} <= norm <= {(mult * rs) ** 0.5:.8f}")
 print(f"oracle top singular value = {svd_values(matrix_of(spec))[0]:.8f}")
 print(f"random search lower bound  = {norm_search(spec, samples=50, seed=1):.8f}")
 
@@ -40,9 +40,8 @@ print("\n== bounded multiplicity: the sandwich in action ==")
 for mult in (2, 3, 4):
     symbol = random_bounded_multiplicity_map(rng, tree, mult)
     spec = OperatorSpec(tree, weight, symbol, 2.0)
-    rep = boundedness_report(spec)
-    print(f"M={mult}: {rep.norm_lower_bound:9.4f} <= {rep.operator_norm:9.4f} "
-          f"<= {rep.norm_upper_bound:9.4f}")
+    rs, nrm = ratio_sup(spec).value, operator_norm(spec).value
+    print(f"M={mult}: {rs ** 0.5:9.4f} <= {nrm:9.4f} <= {(mult * rs) ** 0.5:9.4f}")
 
 print("\nthe norm is attained by the normalized indicator of the witness vertex,")
 print("so the stochastic search (which includes all indicators) meets it exactly:")

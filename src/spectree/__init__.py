@@ -9,19 +9,17 @@ fixed-point identity. A dense-matrix Jacobi oracle cross-validates every
 closed form.
 """
 
-from .compop import (BoundednessReport, CompactnessProfile, IsometryVerdict,
-                     OperatorNorm, OperatorSpec, RatioSup, apply,
-                     boundedness_report, boundedness_trend, compactness_profile,
-                     isometry_check, operator_norm, preimage_ratio,
-                     preimage_weight, ratio_sup, tail_defect)
+from .compop import (CompactnessProfile, IsometryVerdict, OperatorNorm,
+                     OperatorSpec, RatioSup, apply, boundedness_trend,
+                     compactness_profile, isometry_check, operator_norm,
+                     preimage_ratio, preimage_weight, ratio_sup, tail_defect)
 from .errors import DocumentError
 from .lpspace import (basis_vector, dump_function, inner, load_function, norm_p,
                       point_eval_norm, project, validate_exponent)
 from .oracle import (dump_matrix_csv, frobenius_norm, jacobi_eigenvalues,
                      matrix_of, norm_search, svd_values)
-from .schatten import (SpectralReport, TraceDiagonal, hs_norm, schatten_sum,
-                       schatten_trend, singular_values_analytic, spectral_report,
-                       trace_diagonal)
+from .schatten import (TraceDiagonal, hs_norm, schatten_sum, schatten_trend,
+                       singular_values_analytic, trace_diagonal)
 from .selfmap import (MapProfile, SelfMap, adversary_unbounded,
                       adversary_vanishing, analyze, depth_square_map, dump_map,
                       identity_map, level_shift_map, load_map, parent_map)
@@ -34,12 +32,11 @@ from .weight import (Weight, bounds, constant_weight, custom_weight,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundednessReport", "CompactnessProfile", "DocumentError", "IsometryVerdict",
-    "MapProfile", "OperatorNorm", "OperatorSpec", "RatioSup", "SelfMap",
-    "SpectralReport", "TraceDiagonal", "Tree", "Weight",
-    "adversary_unbounded", "adversary_vanishing", "analyze", "apply",
-    "basis_vector", "boundedness_report", "boundedness_trend", "bounds",
-    "build_bary", "compactness_profile", "constant_weight", "custom_weight",
+    "CompactnessProfile", "DocumentError", "IsometryVerdict", "MapProfile",
+    "OperatorNorm", "OperatorSpec", "RatioSup", "SelfMap", "TraceDiagonal",
+    "Tree", "Weight", "adversary_unbounded", "adversary_vanishing", "analyze",
+    "apply", "basis_vector", "boundedness_trend", "bounds", "build_bary",
+    "compactness_profile", "constant_weight", "custom_weight",
     "depth_square_map", "distance", "dump_function", "dump_map",
     "dump_matrix_csv", "dump_tree", "dump_weight", "frobenius_norm",
     "geometric_weight", "hs_norm", "identity_map", "inner", "isometry_check",
@@ -47,7 +44,7 @@ __all__ = [
     "load_tree", "load_weight", "matrix_of", "norm_p", "norm_search",
     "operator_norm", "parent_map", "point_eval_norm", "preimage_ratio",
     "preimage_weight", "project", "ratio_sup", "reciprocal_depth_weight",
-    "schatten_sum", "schatten_trend", "singular_values_analytic",
-    "spectral_report", "svd_values", "tail_defect", "trace_diagonal",
-    "truncate", "validate_exponent", "vertices_at_level",
+    "schatten_sum", "schatten_trend", "singular_values_analytic", "svd_values",
+    "tail_defect", "trace_diagonal", "truncate", "validate_exponent",
+    "vertices_at_level",
 ]

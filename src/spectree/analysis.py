@@ -18,10 +18,11 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import oracle as oracle_mod
-from .compop import (VERDICT_COMPACT, OperatorSpec, boundedness_report, boundedness_trend,
-                     compactness_profile, isometry_check, ratio_sup, tail_defect)
+from .compop import (VERDICT_COMPACT, OperatorSpec, boundedness_trend, compactness_profile,
+                     isometry_check, operator_norm, ratio_sup, tail_defect)
 from .errors import DocumentError
-from .schatten import schatten_trend, spectral_report
+from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_values_analytic,
+                       trace_diagonal)
 from .selfmap import SelfMap, adversary_unbounded, adversary_vanishing, dump_map, load_map
 from .tree import (Tree, build_bary, document_int, document_real, dump_tree, load_tree,
                    truncate)
@@ -178,6 +179,9 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
         raise DocumentError('analysis spec: "oracle.enabled" must be a boolean')
     cap = document_int(oracle_cfg.get("max_vertices", oracle_mod.DEFAULT_MAX_ORACLE_VERTICES),
                        'analysis spec: "oracle.max_vertices"', low=1)
+    if cap > oracle_mod.MAX_ORACLE_VERTICES:  # refused before any dense matrix is formed
+        raise DocumentError('analysis spec: "oracle.max_vertices" must be at most '
+                            f'{oracle_mod.MAX_ORACLE_VERTICES}, got {cap}')
 
     tol_cfg = document.get("tolerances", {})
     if not isinstance(tol_cfg, Mapping):
@@ -300,26 +304,26 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         op = mat.operator_at(depth)
         tree = op.tree
         iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
-        bnd = boundedness_report(op)
+        rs, nrm, profile = ratio_sup(op), operator_norm(op), op.profile
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)
         dom = op.symbol.domain  # ascending, and depth is nondecreasing along the ids
         eff_depth = int(tree.depth[dom[-1]]) if dom.size else -1
         entry = {
             "depth": depth,
             "vertex_count": len(tree),
-            "domain_size": bnd.domain_size,
+            "domain_size": profile.domain_size,
             "effective_domain_depth": eff_depth,
             "terminal_gap_count": len(tree.terminal_gaps),
             "boundedness": {
-                "ratio_sup": real_str(bnd.ratio_sup),
-                "ratio_sup_witness": tree.name_of(bnd.ratio_sup_witness) if bnd.ratio_sup_witness >= 0 else None,
-                "operator_norm": real_str(bnd.operator_norm),
-                "operator_norm_witness": tree.name_of(bnd.operator_norm_witness),
-                "norm_lower_bound": real_str(bnd.norm_lower_bound),
-                "norm_upper_bound": real_str(bnd.norm_upper_bound),
-                "injective": bnd.injective,
-                "multiplicity": bnd.multiplicity,
-                "surjective": bnd.surjective,
+                "ratio_sup": real_str(rs.value),
+                "ratio_sup_witness": tree.name_of(rs.witness) if rs.witness >= 0 else None,
+                "operator_norm": real_str(nrm.value),
+                "operator_norm_witness": tree.name_of(nrm.witness),
+                "norm_lower_bound": real_str(rs.value ** (1.0 / op.p)),
+                "norm_upper_bound": real_str((profile.max_multiplicity * rs.value) ** (1.0 / op.p)),
+                "injective": profile.injective,
+                "multiplicity": profile.max_multiplicity,
+                "surjective": profile.surjective_on_truncation,
             },
             "isometry": {
                 "is_isometry": iso.is_isometry,
@@ -342,7 +346,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
             ],
         }
         entries.append(entry)
-        sups.append(bnd.ratio_sup)
+        sups.append(rs.value)
     report = _report_head("analyze", spec)
     report["entries"] = entries
     report["trend"] = {
@@ -366,8 +370,8 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray
     sums_by_q: dict[float, list[float]] = {q: [] for q in spec.schatten_exponents}
     for depth in spec.depth_ladder:
         op = mat.operator_at(depth)
-        rep = spectral_report(op, spec.schatten_exponents)
-        analytic = rep.singular_values
+        analytic = singular_values_analytic(op)
+        sums = {q: schatten_sum(op, q) for q in spec.schatten_exponents}
         oracle_entry: dict = {"checked": False, "notice": None}
         oracle_values = None
         if not spec.oracle_enabled:
@@ -392,15 +396,15 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray
                                   for q in spec.schatten_exponents},
             })
         for q in spec.schatten_exponents:
-            sums_by_q[q].append(rep.schatten_sums[q])
+            sums_by_q[q].append(sums[q])
+        diagonal = trace_diagonal(op)
         entries.append({
             "depth": depth,
             "vertex_count": len(op.tree),
-            "hs_norm": real_str(rep.hs_norm),
-            "trace_diagonal": real_str(rep.trace_diagonal),
-            "fixed_point_count": rep.fixed_point_count,
-            "schatten_sums": {real_str(q): real_str(rep.schatten_sums[q])
-                              for q in spec.schatten_exponents},
+            "hs_norm": real_str(hs_norm(op)),
+            "trace_diagonal": real_str(diagonal.value),
+            "fixed_point_count": diagonal.fixed_point_count,
+            "schatten_sums": {real_str(q): real_str(sums[q]) for q in spec.schatten_exponents},
             "top_singular_values": [real_str(v) for v in analytic[:10]],
             "oracle": oracle_entry,
         })

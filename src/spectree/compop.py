@@ -59,7 +59,8 @@ class OperatorSpec:
 
     # per-operator quantities, each formed on first use; the arrays are read-only
     @cached_property
-    def _profile(self) -> MapProfile:
+    def profile(self) -> MapProfile:
+        """The operator's one map profile; reports read it from here."""
         return analyze(self.symbol)
 
     @cached_property
@@ -141,42 +142,6 @@ def operator_norm(spec: OperatorSpec) -> OperatorNorm:
 
 
 @dataclass(frozen=True)
-class BoundednessReport:
-    """Norm facts with the structural data that explains them; the
-    exponent, depth and vertex count are those of the operator."""
-
-    ratio_sup: float
-    ratio_sup_witness: int
-    operator_norm: float
-    operator_norm_witness: int
-    norm_lower_bound: float  # ratio_sup ** (1/p)
-    norm_upper_bound: float  # (multiplicity * ratio_sup) ** (1/p)
-    injective: bool
-    multiplicity: int
-    surjective: bool
-    domain_size: int
-
-
-def boundedness_report(spec: OperatorSpec) -> BoundednessReport:
-    profile = spec._profile
-    rs = ratio_sup(spec)
-    nrm = operator_norm(spec)
-    inv_p = 1.0 / spec.p
-    return BoundednessReport(
-        ratio_sup=rs.value,
-        ratio_sup_witness=rs.witness,
-        operator_norm=nrm.value,
-        operator_norm_witness=nrm.witness,
-        norm_lower_bound=rs.value ** inv_p,
-        norm_upper_bound=(profile.max_multiplicity * rs.value) ** inv_p,
-        injective=profile.injective,
-        multiplicity=profile.max_multiplicity,
-        surjective=profile.surjective_on_truncation,
-        domain_size=profile.domain_size,
-    )
-
-
-@dataclass(frozen=True)
 class IsometryVerdict:
     """On failure, ``witness_vertex`` is the vertex u the ``reason`` names:
     the first shared image (``not_injective``), the shallowest missed vertex
@@ -203,7 +168,7 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
     ``frontier_only_misses`` flags the truncation artifact where a bijection
     of the infinite tree misses stored vertices only at the frontier.
     """
-    tree, profile, lam, p = spec.tree, spec._profile, spec.weight.values, spec.p
+    tree, profile, lam, p = spec.tree, spec.profile, spec.weight.values, spec.p
     counts = profile.preimage_count
     # ids are in level order, so the first miss is the shallowest (argmax of a
     # fresh mask: numpy's argmin copies a read-only array such as counts)
@@ -265,7 +230,7 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
     D = spec.tree.truncation_depth
     s = spec._h_tail
     # structural, not read off s: h can underflow to 0 at an image vertex
-    max_image_depth = int(spec.tree.depth[spec._profile.preimage_count > 0].max(initial=-1))
+    max_image_depth = int(spec.tree.depth[spec.profile.preimage_count > 0].max(initial=-1))
 
     s0, sD = float(s[0]), float(s[-1])
     start = int(math.ceil(D * (1.0 - _FINAL_FRACTION)))

@@ -59,18 +59,11 @@ def random_bounded_multiplicity_map(rng: np.random.Generator, tree: Tree,
         raise ValueError(f"multiplicity must be in [1, {n - 1}], got {multiplicity}")
     sources = rng.permutation(n)
     targets = rng.permutation(n)
-    capacity = np.full(n, multiplicity, dtype=np.int64)
+    # the first ``multiplicity`` sources share targets[0]; every other source
+    # gets a target of its own
     image = np.empty(n, dtype=np.int64)
     image[sources[:multiplicity]] = targets[0]
-    capacity[targets[0]] = 0
-    ti = 1
-    for s in sources[multiplicity:]:
-        while capacity[targets[ti % n]] == 0:
-            ti += 1
-        t = targets[ti % n]
-        image[s] = t
-        capacity[t] -= 1
-        ti += 1
+    image[sources[multiplicity:]] = targets[1:n - multiplicity + 1]
     return SelfMap(tree, image, label="custom")
 
 

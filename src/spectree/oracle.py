@@ -9,7 +9,8 @@ genuine cross-validation rather than the same code path twice.
 
 Dense storage makes this a desk-scale tool; callers are expected to skip
 oracle checks above a few hundred vertices (600 by default in the reporting
-layer) and say so in their reports.
+layer) and say so in their reports. An experiment document may raise that cap
+to at most 4096 vertices: the matrix and its Gram product are then 134 MB each.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .compop import OperatorSpec
 from .lpspace import basis_vector, norm_p
 
 DEFAULT_MAX_ORACLE_VERTICES = 600
+MAX_ORACLE_VERTICES = 4096  # ceiling on a document's oracle.max_vertices
 
 _JACOBI_REL_TOL = 1e-14  # jacobi_eigenvalues' stopping rule
 _JACOBI_MAX_SWEEPS = 100

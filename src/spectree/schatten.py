@@ -9,16 +9,14 @@ everything below is cross-checked against the dense-matrix oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .compop import OperatorSpec, preimage_ratio
+from .compop import TREND_INCONCLUSIVE, OperatorSpec, preimage_ratio
 
 TREND_CONVERGING = "converging"
 TREND_DIVERGING = "diverging"
-TREND_INCONCLUSIVE = "inconclusive"
 
 _CONVERGE_REL_TOL = 1e-6  # schatten_trend's relative final increments
 _DIVERGE_REL_FLOOR = 1e-2
@@ -74,38 +72,6 @@ def trace_diagonal(spec: OperatorSpec) -> TraceDiagonal:
     lam = spec.weight.values
     value = float(np.sum(lam[fixed] / lam[fixed]))
     return TraceDiagonal(value, int(fixed.size))
-
-
-@dataclass(frozen=True)
-class SpectralReport:
-    """The analytic spectral quantities of one operator."""
-
-    singular_values: np.ndarray  # descending
-    schatten_sums: Mapping[float, float]
-    hs_norm: float
-    trace_diagonal: float
-    fixed_point_count: int
-
-    def __post_init__(self):
-        sv = np.asarray(self.singular_values, dtype=np.float64)
-        if (sv < 0).any() or (np.diff(sv) > 0).any():
-            raise ValueError("singular values must be nonnegative and descending")
-        object.__setattr__(self, "singular_values", sv)
-
-
-def spectral_report(spec: OperatorSpec, exponents: Sequence[float] = (1.0, 2.0)) -> SpectralReport:
-    """Analytic spectral report; the reporting layer checks it against
-    the dense oracle."""
-    _require_hilbert(spec)
-    sums = {float(q): schatten_sum(spec, q) for q in exponents}
-    trace = trace_diagonal(spec)
-    return SpectralReport(
-        singular_values=singular_values_analytic(spec),
-        schatten_sums=sums,
-        hs_norm=hs_norm(spec),
-        trace_diagonal=trace.value,
-        fixed_point_count=trace.fixed_point_count,
-    )
 
 
 def schatten_trend(partial_sums: Sequence[float]) -> str:

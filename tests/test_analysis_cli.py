@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from spectree import compop
+from spectree import oracle as oracle_mod
 from spectree import (DocumentError, adversary_unbounded, basis_vector, build_bary, dump_map,
                       dump_tree, load_map, load_tree, load_weight, norm_p)
 from spectree.analysis import (parse_analysis_spec, read_analysis_spec, real_str, report_json,
@@ -128,6 +129,17 @@ def test_spectrum_respects_oracle_cap(tmp_path):
     assert not second["oracle"]["checked"]
     assert "exceed" in second["oracle"]["notice"]
     assert csv_text.splitlines()[0] == "rank,sigma_analytic"
+
+
+def test_oracle_cap_is_refused_above_its_ceiling(tmp_path):
+    ceiling = oracle_mod.MAX_ORACLE_VERTICES
+    spec = parse_analysis_spec(base_doc(oracle={"max_vertices": ceiling}))
+    assert spec.oracle_max_vertices == ceiling
+    with pytest.raises(DocumentError, match=f"at most {ceiling}, got {ceiling + 1}"):
+        parse_analysis_spec(base_doc(oracle={"max_vertices": ceiling + 1}))
+    # exit 2 from the front door, before the 2^20-vertex tree would be built
+    path = write_spec(tmp_path, base_doc(depth_ladder=[20], oracle={"max_vertices": 10 ** 6}))
+    assert main(["spectrum", path]) == 2
 
 
 def test_spectrum_rejects_non_hilbert_exponent(tmp_path):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectree import (OperatorSpec, apply, basis_vector, boundedness_report,
-                      boundedness_trend, build_bary, compactness_profile,
+from spectree import (OperatorSpec, apply, basis_vector, boundedness_trend,
+                      build_bary, compactness_profile,
                       constant_weight, custom_weight, depth_square_map,
                       geometric_weight, identity_map, isometry_check,
                       level_shift_map, norm_p, operator_norm, parent_map,
@@ -97,19 +97,20 @@ def test_norm_sandwich_for_bounded_multiplicity():
     for _ in range(20):
         mult = int(rng.integers(2, 5))
         spec = random_multiplicity_spec(rng, mult)
-        rep = boundedness_report(spec)
-        assert rep.multiplicity == mult
-        assert rep.norm_lower_bound <= rep.operator_norm * (1 + 1e-10)
-        assert rep.operator_norm <= rep.norm_upper_bound * (1 + 1e-10)
+        rs, nrm = ratio_sup(spec).value, operator_norm(spec).value
+        assert spec.profile.max_multiplicity == mult
+        assert rs ** (1.0 / spec.p) <= nrm * (1 + 1e-10)
+        assert nrm <= (mult * rs) ** (1.0 / spec.p) * (1 + 1e-10)
 
 
-def test_boundedness_report_fields():
+def test_map_profile_and_norm_of_the_depth_square_example():
     t = build_bary(2, 9)
     spec = spec_of(t, reciprocal_depth_weight(t), depth_square_map(t))
-    rep = boundedness_report(spec)
-    assert rep.injective and not rep.surjective
-    assert rep.domain_size == sum(2 ** k for k in range(4))
-    assert rep.norm_lower_bound == pytest.approx(rep.operator_norm, rel=1e-12)
+    profile = spec.profile
+    assert profile is spec.profile  # formed once per operator
+    assert profile.injective and not profile.surjective_on_truncation
+    assert profile.domain_size == sum(2 ** k for k in range(4))
+    assert ratio_sup(spec).value ** 0.5 == pytest.approx(operator_norm(spec).value, rel=1e-12)
 
 
 def test_isometry_identity_and_bijections():
@@ -248,7 +249,7 @@ def test_parent_map_witness_with_many_preimages_equals_the_dense_reference():
 def test_isometry_check_builds_no_full_length_vector_on_the_analyze_ladder():
     t = build_bary(2, 25, 16)
     spec = spec_of(t, reciprocal_depth_weight(t), depth_square_map(t))
-    spec._profile  # the map profile is shared with the other reports
+    spec.profile  # the map profile is shared with the other reports
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

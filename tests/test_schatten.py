@@ -7,7 +7,7 @@ from spectree import (OperatorSpec, analyze, build_bary, constant_weight,
                       depth_square_map, frobenius_norm, geometric_weight,
                       hs_norm, identity_map, matrix_of, operator_norm,
                       parent_map, schatten_sum, schatten_trend,
-                      singular_values_analytic, spectral_report, svd_values,
+                      singular_values_analytic, svd_values,
                       trace_diagonal, vertices_at_level)
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
                                 random_injective_spec, random_weight)
@@ -146,13 +146,13 @@ def test_spectrum_matches_oracle_for_partial_domain_symbol():
     assert float(np.max(np.abs(analytic - numeric))) <= 1e-8
 
 
-def test_spectral_report_consistency():
+def test_spectral_quantities_consistency():
     t = build_bary(2, 2)
     spec = spec2(t, constant_weight(t, 1.0), parent_map(t))
-    rep = spectral_report(spec, exponents=(1.0, 2.0))
-    assert rep.hs_norm ** 2 == pytest.approx(rep.schatten_sums[2.0], rel=1e-12)
-    assert rep.fixed_point_count == 1
-    assert rep.singular_values[0] >= rep.singular_values[-1]
+    assert hs_norm(spec) ** 2 == pytest.approx(schatten_sum(spec, 2.0), rel=1e-12)
+    assert trace_diagonal(spec).fixed_point_count == 1
+    sv = singular_values_analytic(spec)
+    assert (sv >= 0).all() and (np.diff(sv) <= 0).all()
 
 
 def test_requires_hilbert_exponent():
