@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -235,48 +235,52 @@ def read_analysis_spec(path) -> AnalysisSpec:
     return parse_analysis_spec(read_json(path, "analysis spec"), path.parent)
 
 
-class _Materializer:
-    """Builds the per-depth operator instances an experiment asks for: it
-    reads each document once, loads or generates the tree once, resolves the
-    weight and an explicit map against it once, and restricts them to each
-    ladder entry, whose vertices are an id prefix of that tree. Builtin maps
-    are rebuilt per entry (``depth_square`` depends on the depth)."""
+def _sources(spec: AnalysisSpec) -> tuple[Tree, Weight, SelfMap]:
+    """The tree as loaded or generated (at the deepest ladder entry), with the
+    weight and the map resolved against it. Each document is read once, and
+    every ladder entry restricts these three to an id prefix."""
+    source = spec.tree_source
+    if "file" in source:
+        tree = load_tree(read_json(spec.base_dir / source["file"]))
+        too_deep = [d for d in spec.depth_ladder if d > tree.truncation_depth]
+        if too_deep:
+            raise DocumentError(f"depth ladder entry {too_deep[0]} exceeds the loaded "
+                                f"tree's depth {tree.truncation_depth}")
+    else:
+        tree = build_bary(source["branching"], spec.depth_ladder[-1], source.get("branch_until"))
+    weight_doc, symbol_doc = (read_json(spec.base_dir / s["file"]) if "file" in s else s
+                              for s in (spec.weight_source, spec.map_source))
+    return tree, load_weight(tree, weight_doc), load_map(tree, symbol_doc)
 
-    def __init__(self, spec: AnalysisSpec):
-        self.spec = spec
-        source = spec.tree_source
-        if "file" in source:
-            self.tree = load_tree(read_json(spec.base_dir / source["file"]))
-            too_deep = [d for d in spec.depth_ladder if d > self.tree.truncation_depth]
-            if too_deep:
-                raise DocumentError(f"depth ladder entry {too_deep[0]} exceeds the loaded "
-                                    f"tree's depth {self.tree.truncation_depth}")
-        else:
-            self.tree = build_bary(source["branching"], spec.depth_ladder[-1],
-                                   source.get("branch_until"))
-        weight_doc, self.map_doc = (read_json(spec.base_dir / s["file"]) if "file" in s else s
-                                    for s in (spec.weight_source, spec.map_source))
-        self.weight = load_weight(self.tree, weight_doc)
-        self.symbol = load_map(self.tree, self.map_doc) if "map" in self.map_doc else None
 
-    def entry(self, depth: int) -> tuple[Tree, Weight]:
-        """Tree and weight at ``depth``."""
-        tree = truncate(self.tree, depth)
-        return tree, replace(self.weight, tree=tree, values=self.weight.values[:len(tree)])
+def _entry(tree: Tree, weight: Weight, depth: int) -> tuple[Tree, Weight]:
+    """Tree and weight of the ladder entry at ``depth``."""
+    sub = truncate(tree, depth)
+    return sub, replace(weight, tree=sub, values=weight.values[:len(sub)])
 
-    def operator_at(self, depth: int) -> OperatorSpec:
-        tree, weight = self.entry(depth)
-        n, symbol = len(tree), self.symbol
-        if symbol is None:
-            symbol = load_map(tree, self.map_doc)
-        elif n < len(self.tree):
-            image = symbol.image[:n]
-            if (image >= n).any():
-                v = int(np.flatnonzero(image >= n)[0])
-                raise DocumentError(f"map sends vertex '{tree.name_of(v)}' to unknown vertex "
-                                    f"'{self.tree.name_of(int(image[v]))}'")
-            symbol = SelfMap(tree, image, label="custom")
-        return OperatorSpec(tree, weight, symbol, self.spec.p)
+
+def _restrict(symbol: SelfMap, tree: Tree) -> SelfMap:
+    """``symbol`` on ``tree``, an id prefix of its tree. A total symbol must
+    map the prefix into itself; a partial one excludes the vertices whose
+    image lies past it."""
+    if (n := len(tree)) == len(symbol.tree):
+        return symbol
+    image = symbol.image[:n]
+    if (past := image >= n).any():
+        if symbol.is_total:
+            v = int(np.flatnonzero(past)[0])
+            raise DocumentError(f"map sends vertex '{tree.name_of(v)}' to unknown vertex "
+                                f"'{symbol.tree.name_of(int(image[v]))}'")
+        image = np.where(past, -1, image)
+    return SelfMap(tree, image, label=symbol.label, params=symbol.params)
+
+
+def _operators(spec: AnalysisSpec) -> Iterator[OperatorSpec]:
+    """The operator of each ladder entry, in ladder order."""
+    tree, weight, symbol = _sources(spec)
+    for depth in spec.depth_ladder:
+        sub, w = _entry(tree, weight, depth)
+        yield OperatorSpec(sub, w, _restrict(symbol, sub), spec.p)
 
 
 def _report_head(command: str, spec: AnalysisSpec) -> dict:
@@ -297,11 +301,9 @@ def _tail_defect_pairs(depth: int) -> list[tuple[int, int]]:
 def run_analyze(spec: AnalysisSpec) -> dict:
     """Per-depth boundedness, isometry and compactness reports plus the
     growth trend of the weight-ratio supremum across the ladder."""
-    mat = _Materializer(spec)
     entries = []
     sups = []
-    for depth in spec.depth_ladder:
-        op = mat.operator_at(depth)
+    for depth, op in zip(spec.depth_ladder, _operators(spec)):
         tree = op.tree
         iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
         rs, nrm, profile = ratio_sup(op), operator_norm(op), op.profile
@@ -311,7 +313,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         entry = {
             "depth": depth,
             "vertex_count": len(tree),
-            "domain_size": profile.domain_size,
+            "domain_size": int(op.symbol.domain.size),
             "effective_domain_depth": eff_depth,
             "terminal_gap_count": len(tree.terminal_gaps),
             "boundedness": {
@@ -365,11 +367,9 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray
         raise DocumentError(
             f"spectrum analysis needs the p = 2 Hilbert space, got p = {real_str(spec.p)}; "
             "singular values are not defined for other exponents here")
-    mat = _Materializer(spec)
     entries = []
     sums_by_q: dict[float, list[float]] = {q: [] for q in spec.schatten_exponents}
-    for depth in spec.depth_ladder:
-        op = mat.operator_at(depth)
+    for depth, op in zip(spec.depth_ladder, _operators(spec)):
         analytic = singular_values_analytic(op)
         sums = {q: schatten_sum(op, q) for q in spec.schatten_exponents}
         oracle_entry: dict = {"checked": False, "notice": None}
@@ -428,10 +428,10 @@ def spectrum_csv(analytic: np.ndarray, oracle_values: np.ndarray | None = None) 
 def run_adversary(spec: AnalysisSpec) -> dict:
     """Construct the weight-spread witnesses on each ladder depth and report
     the ratio supremum they achieve."""
-    mat = _Materializer(spec)
+    source, source_weight = _sources(spec)[:2]  # the map is validated, then dropped
     ladders: dict[str, list] = {"unbounded_weight": [], "vanishing_weight": []}
     for depth in spec.depth_ladder:
-        tree, weight = mat.entry(depth)
+        tree, weight = _entry(source, source_weight, depth)
         for key, build in zip(ladders, (adversary_unbounded, adversary_vanishing)):
             symbol = build(tree, weight)
             found = symbol is not None

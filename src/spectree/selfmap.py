@@ -69,7 +69,6 @@ class MapProfile:
     surjective_on_truncation: bool
     fixed_points: np.ndarray
     preimage_count: np.ndarray
-    domain_size: int
 
 
 def analyze(symbol: SelfMap) -> MapProfile:
@@ -86,7 +85,6 @@ def analyze(symbol: SelfMap) -> MapProfile:
         surjective_on_truncation=bool((counts > 0).all()),
         fixed_points=fixed,
         preimage_count=counts,
-        domain_size=int(dom.size),
     )
 
 
@@ -107,10 +105,13 @@ def level_shift_map(tree: Tree, k: int) -> SelfMap:
     if k < 0:
         raise ValueError("level shift must be >= 0")
     image = np.arange(len(tree), dtype=np.int64)
-    # after truncation_depth steps every vertex has reached the root
-    for _ in range(min(k, tree.truncation_depth)):
-        up = tree.parent[image]
-        image = np.where(up >= 0, up, image)
+    # after truncation_depth steps every vertex has reached the root; the
+    # power of the parent map is formed by squaring, in log2(depth) passes
+    power, e = parent_map(tree).image, min(k, tree.truncation_depth)
+    while e:
+        if e & 1:
+            image = power[image]
+        power, e = power[power], e >> 1
     return SelfMap(tree, image, label="level_shift", params={"k": k})
 
 
@@ -133,8 +134,7 @@ def depth_square_map(tree: Tree) -> SelfMap:
                 f"level {n * n} has {width[n * n]} vertices but level {n} has {width[n]}; "
                 "the index-preserving construction needs the image level to be at least as wide")
         image[start[n]:start[n + 1]] = np.arange(start[n * n], start[n * n] + width[n])
-    return SelfMap(tree, image, label="depth_square",
-                   params={"effective_domain_depth": eff})
+    return SelfMap(tree, image, label="depth_square")
 
 
 def load_map(tree: Tree, document: Mapping) -> SelfMap:
@@ -144,7 +144,7 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
         raise DocumentError("map document must be an object")
     if "builtin" in document:
         name = document["builtin"]
-        params = document.get("params") or {}
+        params = {} if document.get("params") is None else document["params"]
         if not isinstance(params, Mapping):
             raise DocumentError('map document field "params" must be an object')
         if name == "identity":

@@ -72,7 +72,7 @@ def load_weight(tree: Tree, document: Mapping) -> Weight:
         raise DocumentError("weight document must be an object")
     if "family" in document:
         family = document["family"]
-        params = document.get("params") or {}
+        params = {} if document.get("params") is None else document["params"]
         if not isinstance(params, Mapping):
             raise DocumentError('weight document field "params" must be an object')
         if family == "constant":

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from spectree import compop
 from spectree import oracle as oracle_mod
 from spectree import (DocumentError, adversary_unbounded, basis_vector, build_bary, dump_map,
-                      dump_tree, load_map, load_tree, load_weight, norm_p)
-from spectree.analysis import (parse_analysis_spec, read_analysis_spec, real_str, report_json,
-                               run_adversary, run_analyze, run_spectrum, spectrum_csv)
+                      dump_tree, load_map, load_tree, load_weight, norm_p, truncate)
+from spectree.analysis import (_restrict, parse_analysis_spec, read_analysis_spec, real_str,
+                               report_json, run_adversary, run_analyze, run_spectrum,
+                               spectrum_csv)
 from spectree.cli import main
 
 
@@ -524,3 +525,75 @@ def test_tables_are_resolved_on_the_whole_file_tree(tmp_path, capsys):
                                          depth_ladder=[2]), "deep_target_spec.json")
     assert main(["adversary", path]) == 0
     assert main(["analyze", path]) == 2
+
+
+@st.composite
+def builtin_ladders(draw):
+    branching, depth = draw(st.integers(1, 3)), draw(st.integers(0, 12))
+    until = draw(st.none() | st.integers(0, depth))
+    top = depth if until is None else until
+    if branching ** top > 3 ** 7:  # keep the tree below a few thousand vertices
+        until = 7
+    doc = draw(st.sampled_from([{"builtin": "identity"}, {"builtin": "parent"},
+                                {"builtin": "depth_square"}])
+               | st.builds(lambda k: {"builtin": "level_shift", "params": {"k": k}},
+                           st.integers(0, depth + 2)))
+    return build_bary(branching, depth, until), doc
+
+
+@given(builtin_ladders())
+def test_builtins_restricted_to_an_entry_are_the_builtins_of_the_entry(case):
+    # one symbol resolved on the whole tree serves every ladder entry
+    tree, doc = case
+    symbol = load_map(tree, doc)
+    for d in range(tree.truncation_depth + 1):
+        entry = truncate(tree, d)
+        restricted, direct = _restrict(symbol, entry), load_map(entry, doc)
+        assert restricted.tree is entry
+        assert np.array_equal(restricted.image, direct.image)
+        assert (restricted.label, restricted.params) == (direct.label, direct.params)
+    assert _restrict(symbol, tree) is symbol
+
+
+_PARENT = {"builtin": "parent"}
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"map": {"builtin": "no_such_map"}}, "unknown builtin map 'no_such_map'"),
+    ({"map": {"builtin": "level_shift", "params": {"k": "x"}}}, "level_shift params.k"),
+    ({"map": _PARENT | {"params": 0}}, 'map document field "params" must be an object'),
+    ({"map": _PARENT | {"params": []}}, 'map document field "params" must be an object'),
+    ({"map": _PARENT | {"params": ""}}, 'map document field "params" must be an object'),
+    ({"weight": {"family": "reciprocal_depth", "params": False}},
+     'weight document field "params" must be an object'),
+    ({"weight": {"family": "reciprocal_depth", "params": []}},
+     'weight document field "params" must be an object'),
+], ids=["unknown_builtin", "k_string", "params_zero", "params_list", "params_empty_string",
+        "weight_params_false", "weight_params_list"])
+def test_every_command_refuses_a_bad_builtin_document(tmp_path, capsys, overrides, message):
+    path = write_spec(tmp_path, base_doc(depth_ladder=[1, 2]) | overrides)
+    errors = []
+    for command in ("analyze", "spectrum", "adversary"):
+        assert main([command, path]) == 2
+        errors.append(capsys.readouterr().err)
+    assert message in errors[0] and errors.count(errors[0]) == 3
+
+
+def test_null_params_mean_no_params(tmp_path):
+    doc = base_doc(map=_PARENT | {"params": None},
+                   weight={"family": "reciprocal_depth", "params": None}, depth_ladder=[1, 2])
+    path = write_spec(tmp_path, doc)
+    for command in ("analyze", "spectrum", "adversary"):
+        assert main([command, path]) == 0
+
+
+def test_depth_square_is_checked_on_the_whole_file_tree(tmp_path, capsys):
+    # r-a-{b, c}-d-e: level 4 holds one vertex, level 2 two. The ladder [1, 3]
+    # never reads level 4, but the map is resolved on the tree as loaded
+    write_doc(tmp_path, "gapped.json", {"vertices": [
+        {"id": "r", "parent": None}, {"id": "a", "parent": "r"}, {"id": "b", "parent": "a"},
+        {"id": "c", "parent": "a"}, {"id": "d", "parent": "b"}, {"id": "e", "parent": "d"}]})
+    path = write_spec(tmp_path, base_doc(tree={"file": "gapped.json"}, depth_ladder=[1, 3]))
+    for command in ("analyze", "spectrum", "adversary"):
+        assert main([command, path]) == 2
+        assert "level 4 has 1 vertices but level 2 has 2" in capsys.readouterr().err

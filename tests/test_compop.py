@@ -109,7 +109,7 @@ def test_map_profile_and_norm_of_the_depth_square_example():
     profile = spec.profile
     assert profile is spec.profile  # formed once per operator
     assert profile.injective and not profile.surjective_on_truncation
-    assert profile.domain_size == sum(2 ** k for k in range(4))
+    assert spec.symbol.domain.size == sum(2 ** k for k in range(4))
     assert ratio_sup(spec).value ** 0.5 == pytest.approx(operator_norm(spec).value, rel=1e-12)
 
 

@@ -25,7 +25,7 @@ def test_identity_profile():
     assert prof.injective and prof.surjective_on_truncation
     assert prof.max_multiplicity == 1
     assert list(prof.fixed_points) == list(range(7))
-    assert prof.domain_size == 7
+    assert identity_map(t).domain.size == 7
 
 
 def test_parent_map_profile_on_binary_tree():
@@ -45,9 +45,10 @@ def test_preimage_counts_partition_the_domain():
     t = build_bary(3, 3)
     rng = np.random.default_rng(11)
     image = rng.integers(-1, len(t), len(t))
-    prof = analyze(SelfMap(t, image))
+    m = SelfMap(t, image)
+    prof = analyze(m)
     # every domain vertex lies in exactly one preimage
-    assert prof.preimage_count.sum() == prof.domain_size == np.count_nonzero(image >= 0)
+    assert prof.preimage_count.sum() == m.domain.size == np.count_nonzero(image >= 0)
     for u in range(len(t)):
         assert prof.preimage_count[u] == np.count_nonzero(image == u)
     with pytest.raises(ValueError):
@@ -57,13 +58,14 @@ def test_preimage_counts_partition_the_domain():
 def test_depth_square_map_structure():
     t = build_bary(2, 9)
     m = depth_square_map(t)
-    assert m.params["effective_domain_depth"] == 3
+    assert m.params is None
+    assert int(t.depth[m.domain[-1]]) == 3  # the effective domain depth isqrt(9)
     prof = analyze(m)
     assert prof.injective
     # root and the whole first level are fixed; nothing else is
     level1 = {int(v) for v in vertices_at_level(t, 1)}
     assert set(prof.fixed_points) == {0} | level1
-    assert prof.domain_size == t.level_start[4] == sum(len(vertices_at_level(t, n)) for n in range(4))
+    assert m.domain.size == t.level_start[4] == sum(len(vertices_at_level(t, n)) for n in range(4))
     # the i-th depth-3 vertex lands on the i-th depth-9 vertex
     src = vertices_at_level(t, 3)
     dst = vertices_at_level(t, 9)
@@ -109,13 +111,31 @@ def test_level_shift_examples():
 
 
 def test_level_shift_beyond_the_depth_is_the_shift_to_the_root():
-    t = build_bary(2, 4)
-    began = time.perf_counter()
-    far = level_shift_map(t, 10 ** 9)
-    assert time.perf_counter() - began < 1.0
-    assert np.array_equal(far.image, level_shift_map(t, t.truncation_depth).image)
-    assert far.params == {"k": 10 ** 9}
-    assert dump_map(far) == {"builtin": "level_shift", "params": {"k": 10 ** 9}}
+    # on the long path, moving up one level per pass would take seconds
+    for t in (build_bary(2, 4), build_bary(1, 32000)):
+        began = time.perf_counter()
+        far = level_shift_map(t, 10 ** 9)
+        assert time.perf_counter() - began < 1.0
+        assert np.array_equal(far.image, level_shift_map(t, t.truncation_depth).image)
+        assert (far.image == 0).all()
+        assert far.params == {"k": 10 ** 9}
+        assert dump_map(far) == {"builtin": "level_shift", "params": {"k": 10 ** 9}}
+
+
+def level_shift_by_steps(tree, k):
+    # the reference: one level up per pass, min(k, depth) passes over all vertices
+    image = np.arange(len(tree), dtype=np.int64)
+    for _ in range(min(k, tree.truncation_depth)):
+        up = tree.parent[image]
+        image = np.where(up >= 0, up, image)
+    return image
+
+
+@pytest.mark.parametrize("shape", [(2, 8), (3, 5), (2, 12, 4), (1, 50)])
+def test_level_shift_by_squaring_matches_the_stepwise_loop(shape):
+    t = build_bary(*shape)
+    for k in range(t.truncation_depth + 3):
+        assert np.array_equal(level_shift_map(t, k).image, level_shift_by_steps(t, k))
 
 
 def test_parent_map_on_path():
