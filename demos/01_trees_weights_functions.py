@@ -7,7 +7,7 @@ norms, basis vectors, point evaluation and truncation projections.
 import numpy as np
 
 from spectree import (basis_vector, bounds, build_bary, constant_weight,
-                      distance, geometric_weight, inner, norm_p,
+                      geometric_weight, inner, norm_p,
                       point_eval_norm, project, reciprocal_depth_weight,
                       vertices_at_level)
 
@@ -15,9 +15,11 @@ print("== a binary truncation of depth 3 ==")
 tree = build_bary(2, 3)
 print(f"vertices: {len(tree)}, level sizes: {np.diff(tree.level_start).tolist()}")
 leaf = int(vertices_at_level(tree, 3)[0])
-print(f"distance(root, first leaf) = {distance(tree, 0, leaf)}")
+print(f"the first leaf is {tree.depth_of(leaf)} edges below the root")
 a, b = (int(v) for v in vertices_at_level(tree, 1))
-print(f"distance between the two depth-1 siblings = {distance(tree, a, b)} (path through the root)")
+up = int(tree.parent[a])  # also the parent of b: the path is a - up - b
+print(f"the two depth-1 siblings share the parent {up}, so the path between them has "
+      f"{tree.depth_of(a) + tree.depth_of(b) - 2 * tree.depth_of(up)} edges")
 
 print("\n== weight families ==")
 flat = constant_weight(tree, 1.0)

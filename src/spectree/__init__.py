@@ -23,8 +23,7 @@ from .schatten import (TraceDiagonal, hs_norm, schatten_sum, schatten_trend,
 from .selfmap import (MapProfile, SelfMap, adversary_unbounded,
                       adversary_vanishing, analyze, depth_square_map, dump_map,
                       identity_map, level_shift_map, load_map, parent_map)
-from .tree import (Tree, build_bary, distance, dump_tree, load_tree, truncate,
-                   vertices_at_level)
+from .tree import Tree, build_bary, dump_tree, load_tree, truncate, vertices_at_level
 from .weight import (Weight, bounds, constant_weight, custom_weight,
                      dump_weight, geometric_weight, load_weight,
                      reciprocal_depth_weight)
@@ -37,7 +36,7 @@ __all__ = [
     "Tree", "Weight", "adversary_unbounded", "adversary_vanishing", "analyze",
     "apply", "basis_vector", "boundedness_trend", "bounds", "build_bary",
     "compactness_profile", "constant_weight", "custom_weight",
-    "depth_square_map", "distance", "dump_function", "dump_map",
+    "depth_square_map", "dump_function", "dump_map",
     "dump_matrix_csv", "dump_tree", "dump_weight", "frobenius_norm",
     "geometric_weight", "hs_norm", "identity_map", "inner", "isometry_check",
     "jacobi_eigenvalues", "level_shift_map", "load_function", "load_map",

@@ -309,7 +309,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
         rs, nrm, profile = ratio_sup(op), operator_norm(op), op.profile
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)
         dom = op.symbol.domain  # ascending, and depth is nondecreasing along the ids
-        eff_depth = int(tree.depth[dom[-1]]) if dom.size else -1
+        eff_depth = tree.depth_of(dom[-1]) if dom.size else -1
         entry = {
             "depth": depth,
             "vertex_count": len(tree),

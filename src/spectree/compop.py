@@ -65,7 +65,8 @@ class OperatorSpec:
 
     @cached_property
     def _h(self) -> np.ndarray:
-        return _read_only(preimage_weight(self) / self.weight.values)
+        h = preimage_weight(self)
+        return _read_only(np.divide(h, self.weight.values, out=h))
 
     @cached_property
     def _ratio(self) -> np.ndarray:
@@ -116,7 +117,7 @@ def ratio_sup(spec: OperatorSpec) -> RatioSup:
     ratios = spec._ratio
     if ratios.size == 0:
         return RatioSup(0.0, -1)
-    i = int(np.argmax(ratios))
+    i = int(np.argmax(ratios == ratios.max()))  # numpy's argmax copies a read-only array
     return RatioSup(float(ratios[i]), int(spec.symbol.domain[i]))
 
 
@@ -137,7 +138,7 @@ def preimage_ratio(spec: OperatorSpec) -> np.ndarray:
 def operator_norm(spec: OperatorSpec) -> OperatorNorm:
     """Exact operator norm on the truncation: sup_u [w(preimage(u))/w(u)]^(1/p)."""
     r = spec._h
-    u = int(np.argmax(r))
+    u = int(np.argmax(r == r.max()))  # the first maximum, found on a 1-byte mask
     return OperatorNorm(float(r[u] ** (1.0 / spec.p)), u)
 
 
@@ -173,7 +174,7 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
     # ids are in level order, so the first miss is the shallowest (argmax of a
     # fresh mask: numpy's argmin copies a read-only array such as counts)
     first_miss = None if profile.surjective_on_truncation else int(np.argmax(counts == 0))
-    frontier_only = first_miss is not None and bool(tree.depth[first_miss] == tree.truncation_depth)
+    frontier_only = first_miss is not None and tree.depth_of(first_miss) == tree.truncation_depth
 
     def _failure(reason, u, preimage=()):
         # the image is w(u)**(-1/p) on the preimage; at their vertex positions the terms
@@ -229,8 +230,9 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
     """
     D = spec.tree.truncation_depth
     s = spec._h_tail
-    # structural, not read off s: h can underflow to 0 at an image vertex
-    max_image_depth = int(spec.tree.depth[spec.profile.preimage_count > 0].max(initial=-1))
+    # structural, not read off s (h can underflow to 0); the largest image id is the deepest
+    last = int(spec.symbol.image.max())
+    max_image_depth = spec.tree.depth_of(last) if last >= 0 else -1
 
     s0, sD = float(s[0]), float(s[-1])
     start = int(math.ceil(D * (1.0 - _FINAL_FRACTION)))

@@ -12,7 +12,7 @@ import numpy as np
 from .compop import OperatorSpec
 from .lpspace import norm_p
 from .selfmap import SelfMap, depth_square_map, identity_map, level_shift_map, parent_map
-from .tree import Tree, bary_vertex_count, build_bary
+from .tree import VERTEX_DTYPE, Tree, bary_vertex_count, build_bary
 from .weight import (Weight, constant_weight, custom_weight, geometric_weight,
                      reciprocal_depth_weight)
 
@@ -40,11 +40,11 @@ def random_weight(rng: np.random.Generator, tree: Tree) -> Weight:
 
 
 def random_permutation_map(rng: np.random.Generator, tree: Tree) -> SelfMap:
-    return SelfMap(tree, rng.permutation(len(tree)).astype(np.int64), label="custom")
+    return SelfMap(tree, rng.permutation(len(tree)), label="custom")
 
 
 def random_nonidentity_permutation_map(rng: np.random.Generator, tree: Tree) -> SelfMap:
-    image = rng.permutation(len(tree)).astype(np.int64)
+    image = rng.permutation(len(tree))
     if (image == np.arange(len(tree))).all():
         image = np.roll(image, 1)
     return SelfMap(tree, image, label="custom")
@@ -61,7 +61,7 @@ def random_bounded_multiplicity_map(rng: np.random.Generator, tree: Tree,
     targets = rng.permutation(n)
     # the first ``multiplicity`` sources share targets[0]; every other source
     # gets a target of its own
-    image = np.empty(n, dtype=np.int64)
+    image = np.empty(n, dtype=VERTEX_DTYPE)
     image[sources[:multiplicity]] = targets[0]
     image[sources[multiplicity:]] = targets[1:n - multiplicity + 1]
     return SelfMap(tree, image, label="custom")

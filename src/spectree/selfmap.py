@@ -15,7 +15,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DocumentError
-from .tree import Tree, document_int, table_values
+from .tree import VERTEX_DTYPE, Tree, document_int, table_values
 from .weight import Weight
 
 _BUILTIN_LABELS = ("identity", "parent", "level_shift", "depth_square")
@@ -31,7 +31,7 @@ class SelfMap:
     params: Mapping[str, int] | None = None
 
     def __post_init__(self):
-        image = np.array(self.image, dtype=np.int64)
+        image = np.asarray(self.image)
         n = len(self.tree)
         if image.shape != (n,):
             raise ValueError(f"self-map needs one image slot per vertex ({n}), got shape {image.shape}")
@@ -39,6 +39,7 @@ class SelfMap:
             v = int(np.argmax((image < -1) | (image >= n)))
             raise DocumentError(
                 f"map sends vertex '{self.tree.name_of(v)}' outside the stored vertex set")
+        image = image.astype(VERTEX_DTYPE)  # in range, so no id wraps; a copy, the caller's stays writable
         image.setflags(write=False)
         object.__setattr__(self, "image", image)
         dom = np.flatnonzero(image >= 0)
@@ -74,7 +75,7 @@ class MapProfile:
 def analyze(symbol: SelfMap) -> MapProfile:
     dom = symbol.domain
     img = symbol.image[dom]
-    counts = np.bincount(img, minlength=len(symbol.tree))
+    counts = np.bincount(img, minlength=len(symbol.tree)).astype(VERTEX_DTYPE)
     fixed = dom[img == dom]
     counts.setflags(write=False)
     fixed.setflags(write=False)
@@ -89,7 +90,7 @@ def analyze(symbol: SelfMap) -> MapProfile:
 
 
 def identity_map(tree: Tree) -> SelfMap:
-    return SelfMap(tree, np.arange(len(tree), dtype=np.int64), label="identity")
+    return SelfMap(tree, np.arange(len(tree), dtype=VERTEX_DTYPE), label="identity")
 
 
 def parent_map(tree: Tree) -> SelfMap:
@@ -104,7 +105,7 @@ def level_shift_map(tree: Tree, k: int) -> SelfMap:
     k = int(k)
     if k < 0:
         raise ValueError("level shift must be >= 0")
-    image = np.arange(len(tree), dtype=np.int64)
+    image = np.arange(len(tree), dtype=VERTEX_DTYPE)
     # after truncation_depth steps every vertex has reached the root; the
     # power of the parent map is formed by squaring, in log2(depth) passes
     power, e = parent_map(tree).image, min(k, tree.truncation_depth)
@@ -127,7 +128,7 @@ def depth_square_map(tree: Tree) -> SelfMap:
     eff = math.isqrt(tree.truncation_depth)
     start = tree.level_start
     width = np.diff(start)
-    image = np.full(len(tree), -1, dtype=np.int64)
+    image = np.full(len(tree), -1, dtype=VERTEX_DTYPE)
     for n in range(eff + 1):
         if width[n * n] < width[n]:
             raise DocumentError(
@@ -162,7 +163,7 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
         targets = table_values(tree, document, "map", "map")
         idx = {name: v for v, name in enumerate(tree.vertex_names())}
         image = np.array([idx.get(t, -1) if isinstance(t, str) else -1 for t in targets],
-                         dtype=np.int64)
+                         dtype=VERTEX_DTYPE)
         if (image < 0).any():
             v = int(np.flatnonzero(image < 0)[0])
             raise DocumentError(
@@ -197,7 +198,7 @@ def _swap_prefix(tree: Tree, weight: Weight, admissible, label: str) -> SelfMap 
         k = int(np.argmin(admissible(lam[heavy], lam[light])))
     if k == 0:
         return None
-    image = np.arange(len(tree), dtype=np.int64)
+    image = np.arange(len(tree), dtype=VERTEX_DTYPE)
     image[heavy[:k]] = light[:k]
     image[light[:k]] = heavy[:k]
     return SelfMap(tree, image, label=label, params={"pair_count": k})

@@ -22,6 +22,9 @@ from .errors import DocumentError
 
 VertexId = int
 
+# the dtype of every per-vertex id array; level_start stays int64
+VERTEX_DTYPE = np.int32
+
 # bounds what one generated tree may allocate, so a document cannot ask for
 # unbounded memory; deep truncations must taper (see build_bary's branch_until)
 _MAX_GENERATED_VERTICES = 5_000_000
@@ -35,8 +38,6 @@ class Tree:
     ----------
     parent:
         ``parent[v]`` is the parent id of ``v``, ``-1`` for the root.
-    depth:
-        Edge distance to the root, nondecreasing along the ids.
     names:
         Original document ids, or ``None`` for generated trees.
     terminal_gaps:
@@ -50,13 +51,12 @@ class Tree:
     """
 
     parent: np.ndarray
-    depth: np.ndarray
     names: tuple[str, ...] | None
     terminal_gaps: tuple[VertexId, ...]
     level_start: np.ndarray
 
     def __post_init__(self):
-        for array in (self.parent, self.depth, self.level_start):
+        for array in (self.parent, self.level_start):
             array.setflags(write=False)
 
     def __len__(self) -> int:
@@ -66,6 +66,20 @@ class Tree:
     def truncation_depth(self) -> int:
         """Depth ``D`` of the stored frontier, the depth of the last vertex."""
         return len(self.level_start) - 2
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        """Edge distance to the root of each vertex, nondecreasing along the
+        ids; read off ``level_start`` on first use, read-only."""
+        levels = np.arange(self.truncation_depth + 1, dtype=VERTEX_DTYPE)
+        depth = np.repeat(levels, np.diff(self.level_start))
+        depth.setflags(write=False)
+        return depth
+
+    def depth_of(self, v: VertexId) -> int:
+        """Depth of vertex ``v``, by binary search on ``level_start``."""
+        v = _check_vertex(self, v)
+        return int(np.searchsorted(self.level_start, v, side="right")) - 1
 
     def name_of(self, v: VertexId) -> str:
         return self.names[v] if self.names is not None else str(v)
@@ -78,7 +92,7 @@ class Tree:
     def name_order(self) -> np.ndarray:
         """Vertex ids by ascending ``name_of``, sorted on first use; read-only."""
         names = self.vertex_names()  # a numpy string array would be len(self) x longest name
-        order = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=np.int64)
+        order = np.array(sorted(range(len(names)), key=names.__getitem__), dtype=VERTEX_DTYPE)
         order.setflags(write=False)
         return order
 
@@ -97,6 +111,8 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None) -> Tree:
     n = int(parent.shape[0])
     if n == 0:
         raise DocumentError("tree has no vertices")
+    if n > np.iinfo(VERTEX_DTYPE).max:
+        raise DocumentError(f"tree has {n} vertices, more than 32-bit vertex ids can number")
     if ((parent < -1) | (parent >= n)).any():
         bad = int(np.flatnonzero((parent < -1) | (parent >= n))[0])
         raise ValueError(f"vertex {bad} has parent id outside the vertex set")
@@ -111,11 +127,9 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None) -> Tree:
 
     # level n + 1 is the children of level n in level order, which is the
     # canonical order; a vertex never reached sits on a parent cycle
-    depth = np.full(n, -1, dtype=np.int64)
     frontier = kids[:1]
     levels = []
     while frontier.size:
-        depth[frontier] = len(levels)
         levels.append(frontier)
         if frontier.size == 1:
             v = frontier[0]
@@ -124,22 +138,20 @@ def _assemble(parent: np.ndarray, names: tuple[str, ...] | None) -> Tree:
         counts = n_kids[frontier]
         shift = np.repeat(first[frontier] - np.cumsum(counts) + counts, counts)
         frontier = kids[shift + np.arange(shift.size)]
-    if (depth < 0).any():
-        v = int(np.flatnonzero(depth < 0)[0])
+    order = np.concatenate(levels)  # new id i is input vertex order[i]
+    if order.size < n:
+        v = int(np.setdiff1d(np.arange(n), order)[0])
         name = names[v] if names is not None else str(v)
         raise DocumentError(f"cycle detected: vertex '{name}' is not reachable from the root")
 
-    sizes = [0] + [level.size for level in levels]
-
-    # new id i is input vertex order[i]; the root's parent -1 reads new_id[-1]
-    order = np.concatenate(levels)
-    new_id = np.full(n + 1, -1, dtype=np.int64)
-    new_id[order] = np.arange(n)
-    depth = depth[order]
-    gaps = np.flatnonzero((n_kids[order] == 0) & (depth < len(levels) - 1))
-    return Tree(parent=new_id[parent[order]], depth=depth,
+    # the root's parent -1 reads new_id[-1]; gaps are childless vertices above level D
+    level_start = np.cumsum([0] + [level.size for level in levels], dtype=np.int64)
+    new_id = np.full(n + 1, -1, dtype=VERTEX_DTYPE)
+    new_id[order] = np.arange(n, dtype=VERTEX_DTYPE)
+    gaps = np.flatnonzero(n_kids[order[:level_start[-2]]] == 0)
+    return Tree(parent=new_id[parent[order]],
                 names=None if names is None else tuple(map(names.__getitem__, order.tolist())),
-                terminal_gaps=tuple(gaps.tolist()), level_start=np.cumsum(sizes, dtype=np.int64))
+                terminal_gaps=tuple(gaps.tolist()), level_start=level_start)
 
 
 def bary_vertex_count(branching: int, depth: int, branch_until: int | None = None,
@@ -190,11 +202,11 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None) -> T
     # (v - 1) // b, and below depth bu each chain vertex one level width back
     width = branching ** bu
     m = n - (depth - bu) * width  # vertices of the complete part
-    parent = np.arange(-width, n - width, dtype=np.int64)
-    parent[:m] = np.arange(-1, m - 1, dtype=np.int64) // branching
+    parent = np.arange(-width, n - width, dtype=VERTEX_DTYPE)
+    parent[:m] = np.arange(-1, m - 1, dtype=VERTEX_DTYPE) // branching
     widths = branching ** np.minimum(np.arange(depth + 1, dtype=np.int64), bu)
-    return Tree(parent=parent, depth=np.repeat(np.arange(depth + 1, dtype=np.int64), widths),
-                names=None, terminal_gaps=(), level_start=np.cumsum(np.append(0, widths)))
+    return Tree(parent=parent, names=None, terminal_gaps=(),
+                level_start=np.cumsum(np.append(0, widths)))
 
 
 def load_tree(document: Mapping) -> Tree:
@@ -292,28 +304,6 @@ def document_int(value, what: str, low: int = 0) -> int:
     return value
 
 
-def distance(tree: Tree, u: VertexId, v: VertexId) -> int:
-    """Edge count of the unique path between two vertices."""
-    u = _check_vertex(tree, u)
-    v = _check_vertex(tree, v)
-    parent, depth = tree.parent, tree.depth
-    du, dv = int(depth[u]), int(depth[v])
-    d = 0
-    while du > dv:
-        u = int(parent[u])
-        du -= 1
-        d += 1
-    while dv > du:
-        v = int(parent[v])
-        dv -= 1
-        d += 1
-    while u != v:
-        u = int(parent[u])
-        v = int(parent[v])
-        d += 2
-    return d
-
-
 def vertices_at_level(tree: Tree, n: int) -> np.ndarray:
     """Vertices at depth exactly ``n`` in canonical (lexicographic) order.
 
@@ -323,8 +313,8 @@ def vertices_at_level(tree: Tree, n: int) -> np.ndarray:
     if n < 0:
         raise ValueError("level must be >= 0")
     if n > tree.truncation_depth:
-        return np.empty(0, dtype=np.int64)
-    return np.arange(tree.level_start[n], tree.level_start[n + 1], dtype=np.int64)
+        return np.empty(0, dtype=VERTEX_DTYPE)
+    return np.arange(tree.level_start[n], tree.level_start[n + 1], dtype=VERTEX_DTYPE)
 
 
 def truncate(tree: Tree, new_depth: int) -> Tree:
@@ -341,6 +331,6 @@ def truncate(tree: Tree, new_depth: int) -> Tree:
     # a kept vertex above the new frontier keeps all its children, so the
     # gaps are the old ones above the new frontier
     gaps = tree.terminal_gaps[:bisect.bisect_left(tree.terminal_gaps, tree.level_start[new_depth])]
-    return Tree(parent=tree.parent[:n], depth=tree.depth[:n],
+    return Tree(parent=tree.parent[:n],
                 names=None if tree.names is None else tree.names[:n], terminal_gaps=gaps,
                 level_start=tree.level_start[:new_depth + 2])

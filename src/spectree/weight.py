@@ -39,6 +39,11 @@ def _validated(tree: Tree, values: np.ndarray, family: str,
     return Weight(tree=tree, values=values, family=family, params=params)
 
 
+def _per_level(tree: Tree, f) -> np.ndarray:
+    """``f`` of each vertex's depth, evaluated once per level ``0..D``."""
+    return np.repeat(f(np.arange(tree.truncation_depth + 1.0)), np.diff(tree.level_start))
+
+
 def constant_weight(tree: Tree, c: float) -> Weight:
     c = float(c)
     if not np.isfinite(c) or c <= 0.0:
@@ -48,7 +53,7 @@ def constant_weight(tree: Tree, c: float) -> Weight:
 
 def reciprocal_depth_weight(tree: Tree) -> Weight:
     """weight(v) = 1 / (1 + depth(v)); decays to zero along any branch."""
-    return _validated(tree, 1.0 / (1.0 + tree.depth), "reciprocal_depth", None)
+    return _validated(tree, _per_level(tree, lambda d: 1.0 / (1.0 + d)), "reciprocal_depth", None)
 
 
 def geometric_weight(tree: Tree, ratio: float) -> Weight:
@@ -57,8 +62,9 @@ def geometric_weight(tree: Tree, ratio: float) -> Weight:
     ratio = float(ratio)
     if not np.isfinite(ratio) or ratio <= 0.0:
         raise DocumentError(f"geometric ratio must be a finite positive real, got {ratio!r}")
-    return _validated(tree, float(ratio) ** tree.depth.astype(np.float64),
-                      "geometric", {"ratio": ratio})
+    with np.errstate(over="ignore"):  # a power past the float range is inf, refused below
+        values = _per_level(tree, lambda d: ratio ** d)
+    return _validated(tree, values, "geometric", {"ratio": ratio})
 
 
 def custom_weight(tree: Tree, values) -> Weight:

@@ -232,6 +232,14 @@ def test_analyze_refuses_an_oversized_generated_tree(tmp_path, capsys):
     assert "refusing to materialize more than 5000000 vertices" in capsys.readouterr().err
 
 
+def test_analyze_refuses_an_overflowing_geometric_weight(tmp_path, capsys):
+    spec = write_spec(tmp_path, base_doc(tree={"generator": "bary", "branching": 1},
+                                         weight={"family": "geometric", "params": {"ratio": 2}},
+                                         depth_ladder=[1100]))
+    assert main(["analyze", spec]) == 2
+    assert "vertex '1024' must be a finite positive real, got inf" in capsys.readouterr().err
+
+
 def test_verify_cli_runs_single_suite(tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--suite", "adversary", "--seed", "3", "--out", str(out)]) == 0

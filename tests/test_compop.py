@@ -13,6 +13,7 @@ from spectree import (OperatorSpec, apply, basis_vector, boundedness_trend,
                       level_shift_map, norm_p, operator_norm, parent_map,
                       preimage_ratio, ratio_sup, reciprocal_depth_weight, tail_defect,
                       truncate)
+from spectree.analysis import parse_analysis_spec, run_analyze
 from spectree.compop import TREND_PLATEAU, TREND_UNBOUNDED, VERDICT_COMPACT, VERDICT_NOT_COMPACT
 from spectree.instances import (random_bounded_multiplicity_map, random_function,
                                 random_injective_spec, random_multiplicity_spec,
@@ -259,6 +260,31 @@ def test_isometry_check_builds_no_full_length_vector_on_the_analyze_ladder():
         tracemalloc.stop()
     assert verdict.reason == "not_surjective" and verdict.witness_image_norm == 0.0
     assert peak < 16 * len(t), f"{peak / len(t):.1f} bytes per vertex"
+
+
+def test_analyze_peak_memory_per_vertex_on_the_analyze_ladder():
+    spec = parse_analysis_spec({
+        "tree": {"generator": "bary", "branching": 2, "branch_until": 16},
+        "weight": {"family": "reciprocal_depth"}, "map": {"builtin": "depth_square"},
+        "p": 2, "depth_ladder": [9, 16, 25]})
+    n = len(build_bary(2, 25, 16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report = run_analyze(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report["entries"][-1]["vertex_count"] == n
+    assert peak <= 34 * n, f"{peak / n:.1f} bytes per vertex"
+
+
+def test_every_witness_is_the_first_vertex_when_every_h_ties():
+    t = build_bary(2, 6)
+    spec = spec_of(t, constant_weight(t, 2.5), identity_map(t))
+    assert (preimage_ratio(spec) == 1.0).all()
+    assert ratio_sup(spec) == (1.0, 0)
+    assert operator_norm(spec) == (1.0, 0)
 
 
 def test_compactness_identity_constant_profile():

@@ -1,4 +1,4 @@
-"""Each demo script runs to completion as a user would run it."""
+"""Each demo script runs to completion as a user would run it, warning-free."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # pytest's warning filters do not reach a subprocess
+    done = subprocess.run([sys.executable, "-W", "error", str(demo)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -166,7 +166,9 @@ def test_self_map_rejects_out_of_range_images():
 
 def test_out_of_range_error_names_the_first_offending_vertex():
     t = build_bary(1, 3)
-    for image, first in (([0, 0, 4, -2], "2"), ([-2, 9, 0, 1], "0"), ([0, 1, 2, 4], "3")):
+    # 2**32 + 1 and -2**32 would wrap into range as 32-bit ids
+    for image, first in (([0, 0, 4, -2], "2"), ([-2, 9, 0, 1], "0"), ([0, 1, 2, 4], "3"),
+                         ([0, 2 ** 32 + 1, 2, 3], "1"), ([0, 1, -2 ** 32, 3], "2")):
         with pytest.raises(DocumentError) as raised:
             SelfMap(t, np.array(image))
         assert str(raised.value) == f"map sends vertex '{first}' outside the stored vertex set"

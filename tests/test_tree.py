@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectree import DocumentError, build_bary, distance, dump_tree, load_tree, truncate, vertices_at_level
-from spectree.tree import _assemble, bary_vertex_count
+from spectree import DocumentError, build_bary, dump_tree, load_tree, truncate, vertices_at_level
+from spectree.tree import VERTEX_DTYPE, _assemble, bary_vertex_count
 
 
 def degree(tree, v):
@@ -55,23 +55,6 @@ def test_branch_until_tapers_the_frontier():
 def test_generated_trees_have_no_terminal_gaps():
     for b, d in ((1, 4), (2, 3), (3, 2)):
         assert build_bary(b, d).terminal_gaps == ()
-
-
-def test_distance_examples():
-    t = build_bary(2, 3)
-    v = int(vertices_at_level(t, 3)[0])
-    assert distance(t, v, v) == 0
-    assert distance(t, 0, v) == 3
-    a, b = (int(x) for x in vertices_at_level(t, 1))
-    assert distance(t, a, b) == 2
-    with pytest.raises(ValueError):
-        distance(t, 0, len(t))
-
-
-def test_distance_to_root_is_depth():
-    t = build_bary(3, 3)
-    for v in range(len(t)):
-        assert distance(t, 0, v) == int(t.depth[v])
 
 
 def test_levels_beyond_frontier_are_empty():
@@ -314,9 +297,11 @@ def _has_ancestor(parent, w, v):
     return w == v
 
 
-def _int64_read_only(tree):
-    return all(a.dtype == np.int64 and not a.flags.writeable
-               for a in (tree.parent, tree.depth, tree.level_start))
+def _id_arrays_read_only(tree):
+    # vertex ids and depths in the one vertex-id dtype, offsets in int64
+    return (tree.parent.dtype == tree.depth.dtype == VERTEX_DTYPE
+            and tree.level_start.dtype == np.int64
+            and not any(a.flags.writeable for a in (tree.parent, tree.depth, tree.level_start)))
 
 
 @given(parent_arrays())
@@ -342,7 +327,7 @@ def test_assembly_matches_the_pure_python_reference(parent):
     assert np.array_equal(old[t.parent[1:]], parent[old[1:]])
     assert tuple(sorted(old[list(t.terminal_gaps)].tolist())) == gaps
     assert list(t.terminal_gaps) == sorted(t.terminal_gaps)
-    assert _int64_read_only(t)
+    assert _id_arrays_read_only(t)
     unnamed = _assemble(parent, None)
     assert unnamed.names is None and unnamed.terminal_gaps == t.terminal_gaps
     for field in ("parent", "depth", "level_start"):
@@ -359,7 +344,7 @@ def test_build_bary_matches_the_assembly_of_its_parent_array():
                     assert np.array_equal(getattr(t, field), getattr(u, field))
                 assert (t.truncation_depth, t.names, t.terminal_gaps) \
                     == (u.truncation_depth, u.names, u.terminal_gaps) == (d, None, ())
-                assert _int64_read_only(t)
+                assert _id_arrays_read_only(t)
 
 
 def reference_bary_arrays(b, d, bu):
@@ -382,7 +367,7 @@ def test_build_bary_matches_the_two_branch_reference():
                 for field, ref in zip(("parent", "depth", "level_start"),
                                       reference_bary_arrays(b, d, bu)):
                     assert np.array_equal(getattr(t, field), ref), (b, d, bu, field)
-                assert _int64_read_only(t)
+                assert _id_arrays_read_only(t)
 
 
 def reference_truncate(tree, new_depth):
@@ -413,9 +398,29 @@ def test_truncate_matches_reassembly(parent, named, data):
     assert (np.diff(got.level_start) > 0).all()
     assert got.terminal_gaps == want.terminal_gaps
     assert got.names == want.names
-    assert _int64_read_only(got)
+    assert _id_arrays_read_only(got)
     # the kept vertices are an id prefix, and the result views its arrays
     assert np.array_equal(np.flatnonzero(tree.depth <= new_depth), np.arange(len(got)))
     if new_depth < tree.truncation_depth:
-        for field in ("parent", "depth", "level_start"):
+        for field in ("parent", "level_start"):
             assert np.shares_memory(getattr(got, field), getattr(tree, field))
+
+
+@given(parent_arrays(cycles=False), st.data())
+def test_depth_of_is_the_depth_of_every_vertex(parent, data):
+    tree = _assemble(parent, None)
+    tree = truncate(tree, data.draw(st.integers(0, tree.truncation_depth)))
+    for v in range(len(tree)):
+        steps, u = 0, v
+        while tree.parent[u] >= 0:
+            steps, u = steps + 1, int(tree.parent[u])
+        assert tree.depth_of(v) == tree.depth[v] == steps
+    for bad in (-1, len(tree)):
+        with pytest.raises(ValueError):
+            tree.depth_of(bad)
+
+
+def test_assembly_refuses_more_vertices_than_the_vertex_ids_hold():
+    parent = np.broadcast_to(np.int64(0), (2 ** 31,))  # a zero-stride view: no memory
+    with pytest.raises(DocumentError, match="32-bit"):
+        _assemble(parent, None)

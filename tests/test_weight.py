@@ -50,6 +50,12 @@ def test_geometric_weight_values():
         geometric_weight(t, 0.0)
 
 
+def test_geometric_overflow_is_refused_without_a_warning():
+    t = build_bary(1, 1100)
+    with pytest.raises(DocumentError, match="vertex '1024' must be a finite positive real, got inf"):
+        load_weight(t, {"family": "geometric", "params": {"ratio": 2}})
+
+
 def test_geometric_level_mass_on_binary_tree():
     # level size 2^n times weight 4^-n collapses to 2^-n
     t = build_bary(2, 5)
