@@ -13,20 +13,22 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import oracle as oracle_mod
-from .compop import (VERDICT_COMPACT, OperatorSpec, boundedness_trend, compactness_profile,
-                     isometry_check, operator_norm, ratio_sup, tail_defect)
+from .compop import (VERDICT_COMPACT, ClassView, LevelClassSpec, OperatorSpec,
+                     boundedness_trend, compactness_profile, isometry_check, operator_norm,
+                     ratio_sup, tail_defect)
 from .errors import DocumentError
 from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_values_analytic,
                        trace_diagonal)
-from .selfmap import SelfMap, adversary_unbounded, adversary_vanishing, dump_map, load_map
-from .tree import (Tree, build_bary, document_int, document_real, dump_tree, load_tree,
-                   truncate)
-from .weight import Weight, dump_weight, load_weight
+from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, dump_map,
+                      level_classes, load_map, parse_builtin)
+from .tree import (Tree, bary_level_start, build_bary, document_int, document_real, dump_tree,
+                   load_tree, truncate)
+from .weight import Weight, dump_weight, family_levels, load_weight, parse_family
 
 SCHEMA_VERSION = 1
 
@@ -283,6 +285,40 @@ def _operators(spec: AnalysisSpec) -> Iterator[OperatorSpec]:
         yield OperatorSpec(sub, w, _restrict(symbol, sub), spec.p)
 
 
+def _by_level_classes(spec: AnalysisSpec) -> bool:
+    """Whether the spec names a generated tree, a family weight and a builtin
+    map, all inline: then every per-vertex quantity is constant on level
+    classes, and ``analyze`` reads them off the levels."""
+    return ("file" not in spec.tree_source
+            and "family" in spec.weight_source and "file" not in spec.weight_source
+            and "builtin" in spec.map_source and "file" not in spec.map_source)
+
+
+def _analyzed(spec: AnalysisSpec) -> Iterator[tuple[ClassView, dict, Callable]]:
+    """The operator of each ladder entry, in ladder order, with the entry's
+    sizes and the namer of its vertices. The documents are checked in the
+    order, and with the messages, of :func:`_sources`."""
+    if not _by_level_classes(spec):
+        for op in _operators(spec):
+            dom = op.symbol.domain  # ascending, and depth is nondecreasing along the ids
+            yield op, {"vertex_count": len(op.tree), "domain_size": int(dom.size),
+                       "effective_domain_depth": op.tree.depth_of(dom[-1]) if dom.size else -1,
+                       "terminal_gap_count": len(op.tree.terminal_gaps)}, op.tree.name_of
+        return
+    source = spec.tree_source
+    level_start = bary_level_start(source["branching"], spec.depth_ladder[-1],
+                                   source.get("branch_until"))
+    weights = family_levels(*parse_family(spec.weight_source), level_start)
+    name, k = parse_builtin(spec.map_source)
+    for depth in spec.depth_ladder:
+        start = level_start[:depth + 2]
+        classes = level_classes(name, k, start)
+        domain_levels = classes.image_level.size  # never 0: the root is in every domain
+        yield (LevelClassSpec(start, weights[:depth + 1], classes, spec.p),
+               {"vertex_count": int(start[-1]), "domain_size": int(start[domain_levels]),
+                "effective_domain_depth": domain_levels - 1, "terminal_gap_count": 0}, str)
+
+
 def _report_head(command: str, spec: AnalysisSpec) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -303,24 +339,18 @@ def run_analyze(spec: AnalysisSpec) -> dict:
     growth trend of the weight-ratio supremum across the ladder."""
     entries = []
     sups = []
-    for depth, op in zip(spec.depth_ladder, _operators(spec)):
-        tree = op.tree
+    for depth, (op, sizes, name_of) in zip(spec.depth_ladder, _analyzed(spec)):
         iso = isometry_check(op, ratio_tol=spec.isometry_ratio_tol)
         rs, nrm, profile = ratio_sup(op), operator_norm(op), op.profile
         comp = compactness_profile(op, decay_ratio=spec.compact_decay_ratio)
-        dom = op.symbol.domain  # ascending, and depth is nondecreasing along the ids
-        eff_depth = tree.depth_of(dom[-1]) if dom.size else -1
         entry = {
             "depth": depth,
-            "vertex_count": len(tree),
-            "domain_size": int(op.symbol.domain.size),
-            "effective_domain_depth": eff_depth,
-            "terminal_gap_count": len(tree.terminal_gaps),
+            **sizes,
             "boundedness": {
                 "ratio_sup": real_str(rs.value),
-                "ratio_sup_witness": tree.name_of(rs.witness) if rs.witness >= 0 else None,
+                "ratio_sup_witness": name_of(rs.witness) if rs.witness >= 0 else None,
                 "operator_norm": real_str(nrm.value),
-                "operator_norm_witness": tree.name_of(nrm.witness),
+                "operator_norm_witness": name_of(nrm.witness),
                 "norm_lower_bound": real_str(rs.value ** (1.0 / op.p)),
                 "norm_upper_bound": real_str((profile.max_multiplicity * rs.value) ** (1.0 / op.p)),
                 "injective": profile.injective,
@@ -330,7 +360,7 @@ def run_analyze(spec: AnalysisSpec) -> dict:
             "isometry": {
                 "is_isometry": iso.is_isometry,
                 "reason": iso.reason,
-                "witness_vertex": None if iso.witness_vertex is None else tree.name_of(iso.witness_vertex),
+                "witness_vertex": None if iso.witness_vertex is None else name_of(iso.witness_vertex),
                 "witness_image_norm": None if iso.witness_image_norm is None else real_str(iso.witness_image_norm),
                 "frontier_only_misses": iso.frontier_only_misses,
             },

@@ -25,7 +25,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .lpspace import TreeFunction, _as_function, validate_exponent
-from .selfmap import MapProfile, SelfMap, analyze
+from .selfmap import LevelClasses, MapProfile, SelfMap, analyze
 from .tree import Tree
 from .weight import Weight
 
@@ -41,8 +41,47 @@ _GROWTH_FACTOR = 1.5  # boundedness_trend's unbounded and plateau thresholds
 _PLATEAU_REL_TOL = 1e-9
 
 
+class ClassView:
+    """An operator's per-vertex quantities, read on classes: contiguous id
+    ranges inside one level on which they are constant. The reductions
+    below read only this view. A vertex operator is the case where class
+    ``i`` is vertex ``i``. A subclass provides ``p``, ``profile`` (with
+    ``preimage_count`` per class, ``injective``, ``max_multiplicity`` and
+    ``surjective_on_truncation``) and:
+
+    - ``_h``: h(u) = w(preimage(u)) / w(u) on each class;
+    - ``_h_first``: the first vertex of each class, or None;
+    - ``_level_offsets``: the index of the first class of each level
+      ``0..D``, then the class count;
+    - ``_ratio`` and ``_ratio_first``: w(v) / w(symbol(v)) on each class of
+      the domain, in id order, and the class's first vertex;
+    - ``_max_image_depth``: the depth of the deepest image, -1 for an
+      empty domain;
+    - ``_source_pair(i)``: symbol(v), w(symbol(v)) and w(v) for the first
+      vertex v of domain class ``i``;
+    - ``_preimage_terms(i)``: the n-length array of ``_image_terms`` of the
+      first vertex of class ``i`` at its preimage, zero elsewhere.
+    """
+
+    @cached_property
+    def _h_tail(self) -> np.ndarray:
+        """Entry k, for k = 0..D, is the largest h(u) over the vertices at
+        depth >= k; every level holds a class, so each level's first class
+        starts a reduceat segment."""
+        m = np.maximum.reduceat(self._h, self._level_offsets[:-1])
+        return _read_only(np.maximum.accumulate(m[::-1])[::-1])
+
+    @property
+    def _truncation_depth(self) -> int:
+        return len(self._level_offsets) - 2
+
+    def _vertex(self, i: int) -> int:
+        """The first vertex of class ``i``."""
+        return i if self._h_first is None else int(self._h_first[i])
+
+
 @dataclass(frozen=True, eq=False)
-class OperatorSpec:
+class OperatorSpec(ClassView):
     """A composition operator instance: tree, weight, symbol and exponent."""
 
     tree: Tree
@@ -71,21 +110,119 @@ class OperatorSpec:
     @cached_property
     def _ratio(self) -> np.ndarray:
         """w(v) / w(symbol(v)) for each v in the symbol's domain, in domain order."""
-        dom, lam = self.symbol.domain, self.weight.values
+        dom, lam = self.symbol.domain_index, self.weight.values
         return _read_only(lam[dom] / lam[self.symbol.image[dom]])
 
+    # the class view: every class is one vertex
+    _h_first = None
+    _level_offsets = property(lambda self: self.tree.level_start)
+    _ratio_first = property(lambda self: self.symbol.domain)
+
     @cached_property
-    def _h_tail(self) -> np.ndarray:
-        """Entry k, for k = 0..D, is the largest h(u) over the vertices at
-        depth >= k; every level holds a vertex, so each level start is a
-        reduceat segment."""
-        m = np.maximum.reduceat(self._h, self.tree.level_start[:-1])
-        return _read_only(np.maximum.accumulate(m[::-1])[::-1])
+    def _max_image_depth(self) -> int:
+        last = int(self.symbol.image.max())  # the largest image id is the deepest
+        return self.tree.depth_of(last) if last >= 0 else -1
+
+    def _source_pair(self, i: int) -> tuple[int, float, float]:
+        v = int(self.symbol.domain[i])
+        u = int(self.symbol.image[v])
+        return u, self.weight.values[u], self.weight.values[v]
+
+    def _preimage_terms(self, u: int) -> np.ndarray:
+        lam = self.weight.values
+        preimage = np.flatnonzero(self.symbol.image == u)
+        terms = np.zeros(len(self.tree), dtype=np.float64)
+        terms[preimage] = _image_terms(lam[u], lam[preimage], self.p)
+        return terms
+
+
+@dataclass(frozen=True, eq=False)
+class LevelClassSpec(ClassView):
+    """The operator of a builtin symbol under a family weight on a generated
+    b-ary tree, by level classes: the tree whose levels start at
+    ``level_start``, the weight ``weights[n]`` at depth ``n`` and the
+    symbol's ``classes``. It forms no per-vertex array but the
+    ``not_injective`` witness's terms. ``profile`` is ``classes``."""
+
+    level_start: np.ndarray
+    weights: np.ndarray
+    classes: LevelClasses
+    p: float  # as validated by the analysis spec
+
+    profile = property(lambda self: self.classes)
+    _h_first = property(lambda self: self.classes.first)
+    _level_offsets = property(lambda self: self.classes.class_start)
+    _ratio_first = property(lambda self: self.level_start[:self.classes.image_level.size])
+
+    @cached_property
+    def _h(self) -> np.ndarray:
+        c, lam = self.classes, self.weights
+        level = np.repeat(np.arange(lam.size), np.diff(c.class_start))
+        # a sum of one preimage weight is that weight; the few larger sums are
+        # those of the levels that still branch and of the root
+        sums = np.where(c.preimage_count > 0, lam[c.source_level], 0.0)
+        for i in np.flatnonzero(c.preimage_count > 1).tolist():
+            _, levels, reps = self._preimage_runs(i)
+            sums[i] = _sequential_sum(lam[levels], reps)
+        return _read_only(np.divide(sums, lam[level], out=sums))
+
+    @cached_property
+    def _ratio(self) -> np.ndarray:
+        image_level = self.classes.image_level
+        return _read_only(self.weights[:image_level.size] / self.weights[image_level])
+
+    # the last domain level's image is the deepest
+    _max_image_depth = property(lambda self: int(self.classes.image_level[-1]))
+
+    def _source_pair(self, i: int) -> tuple[int, float, float]:
+        m = self.classes.image_level[i]  # the first vertex of level i goes to the first of level m
+        return int(self.level_start[m]), self.weights[m], self.weights[i]
+
+    def _preimage_runs(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
+        """The preimage of the first vertex of class ``i``: its first id, its
+        levels and the number of its vertices in each, all contiguous."""
+        c = self.classes
+        if i == 0:
+            levels = np.flatnonzero(c.image_level == 0)
+            return 0, levels, np.diff(self.level_start)[levels]
+        levels = c.source_level[i:i + 1]
+        return int(self.level_start[levels[0]]), levels, c.preimage_count[i:i + 1]
+
+    def _preimage_terms(self, i: int) -> np.ndarray:
+        start, levels, reps = self._preimage_runs(i)
+        level = np.searchsorted(self.classes.class_start, i, side="right") - 1
+        terms = np.zeros(int(self.level_start[-1]), dtype=np.float64)
+        terms[start:start + int(reps.sum())] = np.repeat(
+            _image_terms(self.weights[level], self.weights[levels], self.p), reps)
+        return terms
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.setflags(write=False)
     return array
+
+
+_SUM_CHUNK = 1 << 16
+
+
+def _sequential_sum(values: np.ndarray, reps: np.ndarray) -> float:
+    """0.0 + values[0] + ... + values[-1], added left to right with each
+    ``values[j]`` taken ``reps[j]`` times in turn: the sum ``np.bincount``
+    forms, bit for bit. The terms are formed a bounded chunk at a time."""
+    ends = np.cumsum(reps)
+    total = 0.0
+    for lo in range(0, int(ends[-1]), _SUM_CHUNK):
+        at = np.searchsorted(ends, np.arange(lo, min(lo + _SUM_CHUNK, int(ends[-1]))), side="right")
+        with np.errstate(over="ignore"):  # bincount's sum overflows to inf silently
+            total = np.add.accumulate(np.append(total, values[at]))[-1]
+    return total
+
+
+def _image_terms(lam_u: float, lam_preimage: np.ndarray, p: float) -> np.ndarray:
+    """|C e_u|^p w at each preimage vertex, e_u the normalized indicator of u;
+    the image is w(u)**(-1/p) on the preimage."""
+    c = np.full(len(lam_preimage), lam_u ** (-1.0 / p), dtype=np.complex128)  # as basis_vector
+    return np.abs(c) ** p * lam_preimage
 
 
 class RatioSup(NamedTuple):
@@ -102,12 +239,12 @@ def apply(spec: OperatorSpec, f: TreeFunction) -> TreeFunction:
     """(C f)(v) = f(symbol(v)) on the symbol's domain, zero outside it."""
     f = _as_function(spec.tree, f)
     g = np.zeros(len(spec.tree), dtype=np.complex128)
-    dom = spec.symbol.domain
+    dom = spec.symbol.domain_index
     g[dom] = f[spec.symbol.image[dom]]
     return g
 
 
-def ratio_sup(spec: OperatorSpec) -> RatioSup:
+def ratio_sup(spec: ClassView) -> RatioSup:
     """Largest weight(v) / weight(symbol(v)) over the symbol's domain.
 
     Finiteness of this supremum on the infinite tree is exactly boundedness
@@ -118,13 +255,13 @@ def ratio_sup(spec: OperatorSpec) -> RatioSup:
     if ratios.size == 0:
         return RatioSup(0.0, -1)
     i = int(np.argmax(ratios == ratios.max()))  # numpy's argmax copies a read-only array
-    return RatioSup(float(ratios[i]), int(spec.symbol.domain[i]))
+    return RatioSup(float(ratios[i]), int(spec._ratio_first[i]))
 
 
 def preimage_weight(spec: OperatorSpec) -> np.ndarray:
     """Per-vertex total weight of the preimage: sum of weight(v) over
     symbol(v) = u. Zero where the preimage is empty."""
-    dom = spec.symbol.domain
+    dom = spec.symbol.domain_index
     return np.bincount(spec.symbol.image[dom], weights=spec.weight.values[dom],
                        minlength=len(spec.tree))
 
@@ -135,11 +272,11 @@ def preimage_ratio(spec: OperatorSpec) -> np.ndarray:
     return spec._h
 
 
-def operator_norm(spec: OperatorSpec) -> OperatorNorm:
+def operator_norm(spec: ClassView) -> OperatorNorm:
     """Exact operator norm on the truncation: sup_u [w(preimage(u))/w(u)]^(1/p)."""
     r = spec._h
-    u = int(np.argmax(r == r.max()))  # the first maximum, found on a 1-byte mask
-    return OperatorNorm(float(r[u] ** (1.0 / spec.p)), u)
+    i = int(np.argmax(r == r.max()))  # the first maximum, found on a 1-byte mask
+    return OperatorNorm(float(r[i] ** (1.0 / spec.p)), spec._vertex(i))
 
 
 @dataclass(frozen=True)
@@ -158,7 +295,7 @@ class IsometryVerdict:
     frontier_only_misses: bool
 
 
-def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerdict:
+def isometry_check(spec: ClassView, ratio_tol: float = 1e-12) -> IsometryVerdict:
     """Isometry holds exactly when the symbol is a bijection of the stored
     vertex set and every weight ratio equals 1 (within ``ratio_tol``).
 
@@ -169,34 +306,31 @@ def isometry_check(spec: OperatorSpec, ratio_tol: float = 1e-12) -> IsometryVerd
     ``frontier_only_misses`` flags the truncation artifact where a bijection
     of the infinite tree misses stored vertices only at the frontier.
     """
-    tree, profile, lam, p = spec.tree, spec.profile, spec.weight.values, spec.p
+    profile, p = spec.profile, spec.p
     counts = profile.preimage_count
-    # ids are in level order, so the first miss is the shallowest (argmax of a
+    # classes are in id order, so the first miss is the shallowest (argmax of a
     # fresh mask: numpy's argmin copies a read-only array such as counts)
-    first_miss = None if profile.surjective_on_truncation else int(np.argmax(counts == 0))
-    frontier_only = first_miss is not None and tree.depth_of(first_miss) == tree.truncation_depth
+    miss = None if profile.surjective_on_truncation else int(np.argmax(counts == 0))
+    frontier_only = miss is not None and (
+        int(np.searchsorted(spec._level_offsets, miss, side="right")) - 1 == spec._truncation_depth)
 
-    def _failure(reason, u, preimage=()):
-        # the image is w(u)**(-1/p) on the preimage; at their vertex positions the terms
-        # are grouped by the pairwise sum as in norm_p, so the norm is its dense one bit for bit
-        norm = 0.0
-        if len(preimage):
-            c = np.full(len(preimage), lam[u] ** (-1.0 / p), dtype=np.complex128)  # as basis_vector
-            terms = np.zeros(len(tree), dtype=np.float64)
-            terms[preimage] = np.abs(c) ** p * lam[preimage]
-            norm = float(np.sum(terms) ** (1.0 / p))
+    def _failure(reason, u, terms=()):
+        # at their vertex positions in ``terms`` the image's terms are grouped by
+        # the pairwise sum as in norm_p, so the norm is its dense one bit for bit
+        norm = float(np.sum(terms) ** (1.0 / p)) if len(terms) else 0.0
         return IsometryVerdict(False, reason, u, norm, frontier_only)
 
     if not profile.injective:
-        shared = int(np.argmax(counts > 1))
-        return _failure("not_injective", shared, np.flatnonzero(spec.symbol.image == shared))
-    if not profile.surjective_on_truncation:
-        return _failure("not_surjective", first_miss)  # empty preimage
+        i = int(np.argmax(counts > 1))
+        return _failure("not_injective", spec._vertex(i), spec._preimage_terms(i))
+    if miss is not None:
+        return _failure("not_surjective", spec._vertex(miss))  # empty preimage
 
     off = np.abs(spec._ratio - 1.0) > ratio_tol
     if off.any():
-        v = int(spec.symbol.domain[int(np.argmax(off))])
-        return _failure("ratio_deviation", int(spec.symbol.image[v]), [v])
+        u, lam_u, lam_v = spec._source_pair(int(np.argmax(off)))
+        # a one-vertex preimage: among zeros, one term is its own pairwise sum
+        return _failure("ratio_deviation", u, _image_terms(lam_u, np.array([lam_v]), p))
     return IsometryVerdict(True, None, None, None, False)
 
 
@@ -217,7 +351,7 @@ class CompactnessProfile:
     max_image_depth: int
 
 
-def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> CompactnessProfile:
+def compactness_profile(spec: ClassView, decay_ratio: float = 0.1) -> CompactnessProfile:
     """Classify the tail-supremum trend.
 
     ``compact-consistent`` requires the last entry to fall below
@@ -228,11 +362,9 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
     never reaches the frontier the tail past its deepest image is exactly
     zero; ``frontier_cliff`` flags verdicts that rest on that artifact.
     """
-    D = spec.tree.truncation_depth
+    D = spec._truncation_depth
     s = spec._h_tail
-    # structural, not read off s (h can underflow to 0); the largest image id is the deepest
-    last = int(spec.symbol.image.max())
-    max_image_depth = spec.tree.depth_of(last) if last >= 0 else -1
+    max_image_depth = spec._max_image_depth  # structural, not read off s (h can underflow to 0)
 
     s0, sD = float(s[0]), float(s[-1])
     start = int(math.ceil(D * (1.0 - _FINAL_FRACTION)))
@@ -259,7 +391,7 @@ def compactness_profile(spec: OperatorSpec, decay_ratio: float = 0.1) -> Compact
     )
 
 
-def tail_defect(spec: OperatorSpec, n: int, N: int) -> float:
+def tail_defect(spec: ClassView, n: int, N: int) -> float:
     """Exact norm of C restricted to inputs vanishing up to depth n, i.e. of
     f -> C (f - project(f, n)).
 
@@ -272,7 +404,7 @@ def tail_defect(spec: OperatorSpec, n: int, N: int) -> float:
     n, N = int(n), int(N)
     if N < 0 or n <= N:
         raise ValueError(f"tail defect requires n > N >= 0, got n={n}, N={N}")
-    if n >= spec.tree.truncation_depth:
+    if n >= spec._truncation_depth:
         return 0.0
     return float(spec._h_tail[n + 1] ** (1.0 / spec.p))
 

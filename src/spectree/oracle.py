@@ -138,7 +138,7 @@ def norm_search(spec: OperatorSpec, samples: int = 64, seed: int = 0) -> float:
     if samples < 1:
         raise ValueError("samples must be >= 1")
     n = len(spec.tree)
-    dom = spec.symbol.domain
+    dom = spec.symbol.domain_index
     img = spec.symbol.image[dom]
 
     def image_norm(f: np.ndarray) -> float:

@@ -67,7 +67,7 @@ def trace_diagonal(spec: OperatorSpec) -> TraceDiagonal:
     """
     _require_hilbert(spec)
     dom = spec.symbol.domain
-    img = spec.symbol.image[dom]
+    img = spec.symbol.image[spec.symbol.domain_index]
     fixed = dom[img == dom]
     lam = spec.weight.values
     value = float(np.sum(lam[fixed] / lam[fixed]))

@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
 from .errors import DocumentError
-from .tree import VERTEX_DTYPE, Tree, document_int, table_values
+from .tree import VERTEX_DTYPE, Tree, document_int, document_keys, table_values
 from .weight import Weight
-
-_BUILTIN_LABELS = ("identity", "parent", "level_shift", "depth_square")
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,18 +40,27 @@ class SelfMap:
         image = image.astype(VERTEX_DTYPE)  # in range, so no id wraps; a copy, the caller's stays writable
         image.setflags(write=False)
         object.__setattr__(self, "image", image)
-        dom = np.flatnonzero(image >= 0)
+        defined = image >= 0
+        dom = (np.arange(n, dtype=VERTEX_DTYPE) if defined.all()
+               else np.flatnonzero(defined).astype(VERTEX_DTYPE))
         dom.setflags(write=False)
         object.__setattr__(self, "_domain", dom)
 
     @property
     def domain(self) -> np.ndarray:
-        """Vertices with a defined image, ascending."""
+        """Vertices with a defined image, ascending; read-only."""
         return self._domain
 
     @property
     def is_total(self) -> bool:
         return self._domain.size == len(self.tree)
+
+    @property
+    def domain_index(self) -> slice | np.ndarray:
+        """Selects a per-vertex array's values on the domain, in domain order:
+        a full slice for a total symbol, else ``domain``. numpy casts an int32
+        index array to intp on every gather; a slice costs nothing."""
+        return slice(None) if self.is_total else self._domain
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +81,7 @@ class MapProfile:
 
 def analyze(symbol: SelfMap) -> MapProfile:
     dom = symbol.domain
-    img = symbol.image[dom]
+    img = symbol.image[symbol.domain_index]
     counts = np.bincount(img, minlength=len(symbol.tree)).astype(VERTEX_DTYPE)
     fixed = dom[img == dom]
     counts.setflags(write=False)
@@ -87,6 +94,67 @@ def analyze(symbol: SelfMap) -> MapProfile:
         fixed_points=fixed,
         preimage_count=counts,
     )
+
+
+class LevelClasses(NamedTuple):
+    """Structural facts about a builtin symbol on a generated b-ary tree, by
+    level classes: contiguous id ranges inside one level whose vertices have
+    the same number of preimages, all in one level. Class 0 is the root.
+    Its preimage is every domain level that maps to level 0, a prefix of
+    the levels, since ``image_level`` is nondecreasing. The preimage of the
+    first vertex of any other class is the first ``preimage_count``
+    vertices of its ``source_level``. All arrays are int64.
+    """
+
+    image_level: np.ndarray  # the level each domain level maps to; the domain is levels 0..len - 1
+    class_start: np.ndarray  # index of the first class of each level 0..D, then the class count
+    first: np.ndarray  # first vertex of each class
+    preimage_count: np.ndarray  # preimage count of each vertex of the class
+    source_level: np.ndarray  # the level of those preimages, -1 when there are none
+
+    @property
+    def max_multiplicity(self) -> int:
+        return int(self.preimage_count.max())
+
+    @property
+    def injective(self) -> bool:
+        return self.max_multiplicity <= 1
+
+    @property
+    def surjective_on_truncation(self) -> bool:
+        return bool(self.preimage_count.min() > 0)
+
+
+def level_classes(name: str, k: int | None, level_start: np.ndarray) -> LevelClasses:
+    """The builtin ``name`` (with shift ``k`` for ``level_shift``) on the
+    generated b-ary tree whose levels start at ``level_start``, by level
+    classes. ``identity`` and ``parent`` are the shifts by 0 and 1."""
+    start, depth = level_start, len(level_start) - 2
+    width, levels = np.diff(start), np.arange(depth + 1)
+    if name == "depth_square":
+        # the i-th vertex of level m goes to the i-th of level m*m, so the first
+        # width[m] vertices of level m*m have one preimage each and the rest none
+        image_level = np.arange(math.isqrt(depth) + 1) ** 2
+        imaged = np.zeros(depth + 1, dtype=np.int64)
+        imaged[image_level] = width[:image_level.size]
+        split = (imaged > 0) & (imaged < width)  # two classes: the imaged vertices, the rest
+        class_start = np.append(0, np.cumsum(1 + split))
+        first = np.repeat(start[:-1], 1 + split)
+        first[class_start[:-1][split] + 1] += imaged[split]
+        count = np.zeros(first.size, dtype=np.int64)
+        source = np.full(first.size, -1)
+        count[class_start[image_level]] = 1
+        source[class_start[image_level]] = np.arange(image_level.size)
+        return LevelClasses(image_level, class_start, first, count, source)
+    # a shift by k: a vertex of level n >= 1 has its descendants at level n + k
+    # as preimage, the root the whole of levels 0..k; shifts past the depth are alike
+    k = min({"identity": 0, "parent": 1}.get(name, k), depth)
+    count = np.zeros(depth + 1, dtype=np.int64)
+    count[0] = start[k + 1]
+    count[1:depth - k + 1] = width[k + 1:] // width[1:depth - k + 1]
+    source = np.where(count > 0, levels + k, -1)
+    source[0] = 0
+    return LevelClasses(np.maximum(levels - k, 0), np.arange(depth + 2), start[:-1], count, source)
 
 
 def identity_map(tree: Tree) -> SelfMap:
@@ -138,28 +206,41 @@ def depth_square_map(tree: Tree) -> SelfMap:
     return SelfMap(tree, image, label="depth_square")
 
 
+_BUILTIN_PARAMS = {"identity": (), "parent": (), "level_shift": ("k",), "depth_square": ()}
+
+
+def parse_builtin(document: Mapping) -> tuple[str, int | None]:
+    """The name of a ``{"builtin": name, "params": {...}}`` map document and,
+    for ``level_shift``, its shift ``k``. Keys outside the builtin's own are
+    refused."""
+    document_keys(document, ("builtin", "params"), "map document")
+    name = document["builtin"]
+    params = {} if document.get("params") is None else document["params"]
+    if not isinstance(params, Mapping):
+        raise DocumentError('map document field "params" must be an object')
+    if not isinstance(name, str) or name not in _BUILTIN_PARAMS:
+        raise DocumentError(f"unknown builtin map '{name}'")
+    document_keys(params, _BUILTIN_PARAMS[name], f"{name} params")
+    if name != "level_shift":
+        return name, None
+    if "k" not in params:
+        raise DocumentError("level_shift needs params.k")
+    return name, document_int(params["k"], "level_shift params.k")
+
+
 def load_map(tree: Tree, document: Mapping) -> SelfMap:
     """Build a symbol from ``{"builtin": name, "params": {...}}`` or an
     explicit total ``{"map": {vertex-id: vertex-id}}`` document."""
     if not isinstance(document, Mapping):
         raise DocumentError("map document must be an object")
     if "builtin" in document:
-        name = document["builtin"]
-        params = {} if document.get("params") is None else document["params"]
-        if not isinstance(params, Mapping):
-            raise DocumentError('map document field "params" must be an object')
-        if name == "identity":
-            return identity_map(tree)
-        if name == "parent":
-            return parent_map(tree)
+        name, k = parse_builtin(document)
         if name == "level_shift":
-            if "k" not in params:
-                raise DocumentError("level_shift needs params.k")
-            return level_shift_map(tree, document_int(params["k"], "level_shift params.k"))
-        if name == "depth_square":
-            return depth_square_map(tree)
-        raise DocumentError(f"unknown builtin map '{name}'")
+            return level_shift_map(tree, k)
+        return {"identity": identity_map, "parent": parent_map,
+                "depth_square": depth_square_map}[name](tree)
     if "map" in document:
+        document_keys(document, ("map",), "map document")
         targets = table_values(tree, document, "map", "map")
         idx = {name: v for v, name in enumerate(tree.vertex_names())}
         image = np.array([idx.get(t, -1) if isinstance(t, str) else -1 for t in targets],
@@ -174,7 +255,7 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
 
 def dump_map(symbol: SelfMap) -> dict:
     """Serialize to the document format accepted by :func:`load_map`."""
-    if symbol.label in _BUILTIN_LABELS:
+    if symbol.label in _BUILTIN_PARAMS:
         doc: dict = {"builtin": symbol.label}
         if symbol.label == "level_shift":
             doc["params"] = {"k": int(symbol.params["k"])}

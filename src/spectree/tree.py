@@ -173,15 +173,11 @@ def bary_vertex_count(branching: int, depth: int, branch_until: int | None = Non
     return total + (depth - bu) * width
 
 
-def build_bary(branching: int, depth: int, branch_until: int | None = None) -> Tree:
-    """Uniform b-ary truncation: every vertex above the frontier has
-    ``branching`` children and all leaves sit at ``depth``.
-
-    ``branch_until=m`` stops the branching at depth ``m`` and continues with
-    single-child chains down to the frontier. The result is still a valid
-    terminal-free truncation, and it keeps deep trees at a tractable vertex
-    count (a uniform binary tree of depth 100 would need ~2**101 vertices).
-    """
+def bary_level_start(branching: int, depth: int, branch_until: int | None = None) -> np.ndarray:
+    """The ``level_start`` of ``build_bary(branching, depth, branch_until)``,
+    formed without the tree: level ``n`` holds
+    ``branching ** min(n, branch_until)`` vertices. Refuses what
+    ``build_bary`` refuses, before allocating."""
     branching = int(branching)
     depth = int(depth)
     if branching < 1:
@@ -191,22 +187,32 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None) -> T
     bu = depth if branch_until is None else min(int(branch_until), depth)
     if bu < 0:
         raise ValueError("branch_until must be >= 0")
-
-    n = bary_vertex_count(branching, depth, bu)
-    if n is None:
+    if bary_vertex_count(branching, depth, bu) is None:
         raise ValueError(
             f"refusing to materialize more than {_MAX_GENERATED_VERTICES} vertices; "
             "taper deep truncations with branch_until")
-
-    # ids run in level order: in the complete b-ary part v hangs below
-    # (v - 1) // b, and below depth bu each chain vertex one level width back
-    width = branching ** bu
-    m = n - (depth - bu) * width  # vertices of the complete part
-    parent = np.arange(-width, n - width, dtype=VERTEX_DTYPE)
-    parent[:m] = np.arange(-1, m - 1, dtype=VERTEX_DTYPE) // branching
     widths = branching ** np.minimum(np.arange(depth + 1, dtype=np.int64), bu)
-    return Tree(parent=parent, names=None, terminal_gaps=(),
-                level_start=np.cumsum(np.append(0, widths)))
+    return np.cumsum(np.append(0, widths))
+
+
+def build_bary(branching: int, depth: int, branch_until: int | None = None) -> Tree:
+    """Uniform b-ary truncation: every vertex above the frontier has
+    ``branching`` children and all leaves sit at ``depth``.
+
+    ``branch_until=m`` stops the branching at depth ``m`` and continues with
+    single-child chains down to the frontier. The result is still a valid
+    terminal-free truncation, and it keeps deep trees at a tractable vertex
+    count (a uniform binary tree of depth 100 would need ~2**101 vertices).
+    """
+    level_start = bary_level_start(branching, depth, branch_until)
+    # ids run in level order: in the complete b-ary part, depths 0..bu, v hangs
+    # below (v - 1) // b, and below it each chain vertex one level width back
+    bu = int(depth if branch_until is None else min(branch_until, depth))
+    n, width = int(level_start[-1]), int(level_start[-1] - level_start[-2])
+    m = int(level_start[bu + 1])  # vertices of the complete part
+    parent = np.arange(-width, n - width, dtype=VERTEX_DTYPE)
+    parent[:m] = np.arange(-1, m - 1, dtype=VERTEX_DTYPE) // int(branching)
+    return Tree(parent=parent, names=None, terminal_gaps=(), level_start=level_start)
 
 
 def load_tree(document: Mapping) -> Tree:
@@ -302,6 +308,15 @@ def document_int(value, what: str, low: int = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < low:
         raise DocumentError(f"{what} must be an integer >= {low}, got {value!r}")
     return value
+
+
+def document_keys(document: Mapping, allowed: tuple[str, ...], what: str) -> None:
+    """Refuse a key of ``document`` outside ``allowed``; ``what`` names the
+    document in the error."""
+    for key in document:
+        if key not in allowed:
+            raise DocumentError(f"{what} has unknown key {key!r}; allowed keys: "
+                                f"{', '.join(allowed) or 'none'}")
 
 
 def vertices_at_level(tree: Tree, n: int) -> np.ndarray:

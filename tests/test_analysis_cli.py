@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectree import compop
+from spectree import analysis, compop
 from spectree import oracle as oracle_mod
 from spectree import (DocumentError, adversary_unbounded, basis_vector, build_bary, dump_map,
                       dump_tree, load_map, load_tree, load_weight, norm_p, truncate)
@@ -448,7 +448,11 @@ BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
     ("analyze_ladder", run_analyze, 3),
     ("spectrum_ladder", lambda spec: run_spectrum(spec)[0], 4),
 ])
-def test_preimage_weight_is_formed_once_per_ladder_entry(monkeypatch, name, run, entries):
+def test_preimage_weight_is_formed_once_per_ladder_entry(monkeypatch, tmp_path, name, run, entries):
+    # a weight read from a file keeps analyze on the vertex path
+    doc = json.loads((BENCH_DOCS / f"{name}.json").read_text(encoding="utf-8"))
+    (tmp_path / "weight.json").write_text(json.dumps(doc["weight"]), encoding="utf-8")
+    doc["weight"] = {"file": "weight.json"}
     calls = []
     original = compop.preimage_weight
 
@@ -457,8 +461,19 @@ def test_preimage_weight_is_formed_once_per_ladder_entry(monkeypatch, name, run,
         return original(spec)
 
     monkeypatch.setattr(compop, "preimage_weight", counted)
-    run(read_analysis_spec(BENCH_DOCS / f"{name}.json"))
+    run(parse_analysis_spec(doc, tmp_path))
     assert len(calls) == entries
+
+
+def test_level_class_path_forms_no_tree_weight_or_map(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a per-vertex structure was formed")
+
+    for module, name in [(analysis, "build_bary"), (analysis, "load_weight"),
+                         (analysis, "load_map"), (compop, "preimage_weight"), (compop, "analyze")]:
+        monkeypatch.setattr(module, name, refused)
+    report = run_analyze(read_analysis_spec(BENCH_DOCS / "analyze_ladder.json"))
+    assert [e["vertex_count"] for e in report["entries"]] == [1023, 131071, 720895]
 
 
 _SEVEN = range(7)  # build_bary(2, 2)
@@ -593,6 +608,33 @@ def test_null_params_mean_no_params(tmp_path):
     path = write_spec(tmp_path, doc)
     for command in ("analyze", "spectrum", "adversary"):
         assert main([command, path]) == 0
+
+
+_SEVEN_NAMES = [str(v) for v in range(7)]  # build_bary(2, 2)
+
+
+@pytest.mark.parametrize("field, doc, message", [
+    ("weight", {"family": "reciprocal_depth", "params": {"ratio": 2}},
+     "reciprocal_depth weight params has unknown key 'ratio'; allowed keys: none"),
+    ("map", {"builtin": "parent", "params": {"k": 3}},
+     "parent params has unknown key 'k'; allowed keys: none"),
+    ("map", {"builtin": "level_shift", "params": {"k": 1, "kk": 2}},
+     "level_shift params has unknown key 'kk'; allowed keys: k"),
+    ("map", {"builtin": "identity", "map": {v: v for v in _SEVEN_NAMES}},
+     "map document has unknown key 'map'; allowed keys: builtin, params"),
+    ("weight", {"family": "constant", "params": {"value": 1}, "weights": dict.fromkeys(_SEVEN_NAMES, 1.0)},
+     "weight document has unknown key 'weights'; allowed keys: family, params"),
+    ("weight", {"weights": dict.fromkeys(_SEVEN_NAMES, 1.0), "params": {}},
+     "weight document has unknown key 'params'; allowed keys: weights"),
+], ids=["family_params", "parent_params", "level_shift_params", "builtin_and_table",
+        "family_and_table", "table_and_params"])
+def test_unknown_and_mixed_document_keys_are_refused(tmp_path, capsys, field, doc, message):
+    # inline, and read from a file, which keeps analyze on the vertex path
+    write_doc(tmp_path, "doc.json", doc)
+    for source in (doc, {"file": "doc.json"}):
+        path = write_spec(tmp_path, base_doc(depth_ladder=[1, 2]) | {field: source})
+        assert main(["analyze", path]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_depth_square_is_checked_on_the_whole_file_tree(tmp_path, capsys):

@@ -262,21 +262,35 @@ def test_isometry_check_builds_no_full_length_vector_on_the_analyze_ladder():
     assert peak < 16 * len(t), f"{peak / len(t):.1f} bytes per vertex"
 
 
-def test_analyze_peak_memory_per_vertex_on_the_analyze_ladder():
-    spec = parse_analysis_spec({
-        "tree": {"generator": "bary", "branching": 2, "branch_until": 16},
-        "weight": {"family": "reciprocal_depth"}, "map": {"builtin": "depth_square"},
-        "p": 2, "depth_ladder": [9, 16, 25]})
-    n = len(build_bary(2, 25, 16))
+def test_analyze_peaks_below_one_mib_on_the_analyze_ladder():
+    # level classes: the peak does not grow with the vertex count
+    for ladder, vertices in [([9, 16, 25], 720_895), ([9, 16, 25, 70], 3_670_015)]:
+        spec = parse_analysis_spec({
+            "tree": {"generator": "bary", "branching": 2, "branch_until": 16},
+            "weight": {"family": "reciprocal_depth"}, "map": {"builtin": "depth_square"},
+            "p": 2, "depth_ladder": ladder})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report = run_analyze(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report["entries"][-1]["vertex_count"] == vertices
+        assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB at {vertices} vertices"
+
+
+def test_vertex_reductions_peak_memory_per_vertex_on_the_analyze_ladder():
+    t = build_bary(2, 25, 16)
+    spec = spec_of(t, reciprocal_depth_weight(t), depth_square_map(t))
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        report = run_analyze(spec)
+        ratio_sup(spec), operator_norm(spec), isometry_check(spec), compactness_profile(spec)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert report["entries"][-1]["vertex_count"] == n
-    assert peak <= 34 * n, f"{peak / n:.1f} bytes per vertex"
+    assert peak <= 34 * len(t), f"{peak / len(t):.1f} bytes per vertex"
 
 
 def test_every_witness_is_the_first_vertex_when_every_h_ties():

@@ -12,6 +12,7 @@ from spectree import (DocumentError, OperatorSpec, SelfMap, adversary_unbounded,
                       identity_map, isometry_check, level_shift_map, load_map,
                       load_tree, parent_map, reciprocal_depth_weight,
                       vertices_at_level)
+from spectree.tree import VERTEX_DTYPE
 
 
 def ratios(tree, weight, symbol):
@@ -369,3 +370,14 @@ def test_adversaries_on_weights_whose_squares_overflow():
         got = [adversary_unbounded(t, w), adversary_vanishing(t, w)]
     for g, r in zip(got, want):
         assert np.array_equal(g.image, r.image) and g.params == r.params
+
+
+def test_domain_is_a_read_only_vertex_id_array():
+    t = build_bary(2, 4)
+    total, partial = parent_map(t), depth_square_map(t)
+    for symbol in (total, partial):
+        assert symbol.domain.dtype == VERTEX_DTYPE and not symbol.domain.flags.writeable
+    assert np.array_equal(total.domain, np.arange(len(t)))
+    assert np.array_equal(partial.domain, np.arange(t.level_start[3]))  # depths 0..isqrt(4)
+    # gathers on the domain index a total symbol by a slice, not by the int32 ids
+    assert total.domain_index == slice(None) and partial.domain_index is partial.domain
