@@ -11,10 +11,11 @@ membership trends.
 import numpy as np
 
 from spectree import (OperatorSpec, build_bary, constant_weight,
-                      depth_square_map, dump_matrix_csv, geometric_weight,
-                      hs_norm, identity_map, matrix_of, parent_map,
-                      schatten_sum, schatten_trend, singular_values_analytic,
-                      svd_values, trace_diagonal)
+                      depth_square_map, geometric_weight, hs_norm, identity_map,
+                      matrix_of, parent_map, schatten_sum, schatten_trend,
+                      singular_values_analytic, svd_values, trace_diagonal)
+from spectree.analysis import spectrum_csv
+from spectree.schatten import singular_value_classes
 
 print("== closed form vs oracle on a small instance ==")
 tree = build_bary(2, 2)
@@ -56,10 +57,10 @@ for depth in (2, 4, 6, 8):
                                           identity_map(t), 2.0), 2.0))
 print(f"  identity, q=2: {[round(s, 1) for s in sums]} -> {schatten_trend(sums)}")
 
-print("\n== exporting the spectrum and the matrix ==")
+print("\n== exporting the spectrum ==")
 spec = OperatorSpec(tree, constant_weight(tree, 1.0), parent_map(tree), 2.0)
-dump_matrix_csv(matrix_of(spec), "/tmp/spectree_matrix.csv")
-print("nonzero matrix triplets written to /tmp/spectree_matrix.csv")
-with open("/tmp/spectree_matrix.csv", encoding="utf-8") as fh:
-    for line in list(fh)[:4]:
-        print(f"  {line.rstrip()}")
+# distinct singular values with their multiplicities, then the oracle's values
+csv_text = spectrum_csv(*singular_value_classes(spec), svd_values(matrix_of(spec)))
+print("the CSV that `spectree spectrum --csv` writes for this instance:")
+for line in csv_text.splitlines()[:4]:
+    print(f"  {line}")

@@ -14,10 +14,9 @@ from .compop import (CompactnessProfile, IsometryVerdict, OperatorNorm,
                      compactness_profile, isometry_check, operator_norm,
                      preimage_ratio, preimage_weight, ratio_sup, tail_defect)
 from .errors import DocumentError
-from .lpspace import (basis_vector, dump_function, inner, load_function, norm_p,
-                      point_eval_norm, project, validate_exponent)
-from .oracle import (dump_matrix_csv, frobenius_norm, jacobi_eigenvalues,
-                     matrix_of, norm_search, svd_values)
+from .lpspace import (basis_vector, inner, norm_p, point_eval_norm, project,
+                      validate_exponent)
+from .oracle import frobenius_norm, jacobi_eigenvalues, matrix_of, norm_search, svd_values
 from .schatten import (TraceDiagonal, hs_norm, schatten_sum, schatten_trend,
                        singular_values_analytic, trace_diagonal)
 from .selfmap import (MapProfile, SelfMap, adversary_unbounded,
@@ -36,11 +35,10 @@ __all__ = [
     "Tree", "Weight", "adversary_unbounded", "adversary_vanishing", "analyze",
     "apply", "basis_vector", "boundedness_trend", "bounds", "build_bary",
     "compactness_profile", "constant_weight", "custom_weight",
-    "depth_square_map", "dump_function", "dump_map",
-    "dump_matrix_csv", "dump_tree", "dump_weight", "frobenius_norm",
+    "depth_square_map", "dump_map", "dump_tree", "dump_weight", "frobenius_norm",
     "geometric_weight", "hs_norm", "identity_map", "inner", "isometry_check",
-    "jacobi_eigenvalues", "level_shift_map", "load_function", "load_map",
-    "load_tree", "load_weight", "matrix_of", "norm_p", "norm_search",
+    "jacobi_eigenvalues", "level_shift_map", "load_map", "load_tree",
+    "load_weight", "matrix_of", "norm_p", "norm_search",
     "operator_norm", "parent_map", "point_eval_norm", "preimage_ratio",
     "preimage_weight", "project", "ratio_sup", "reciprocal_depth_weight",
     "schatten_sum", "schatten_trend", "singular_values_analytic", "svd_values",

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -22,12 +22,12 @@ from .compop import (VERDICT_COMPACT, ClassView, LevelClassSpec, OperatorSpec,
                      boundedness_trend, compactness_profile, isometry_check, operator_norm,
                      ratio_sup, tail_defect)
 from .errors import DocumentError
-from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_values_analytic,
+from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_value_classes,
                        trace_diagonal)
 from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, dump_map,
                       level_classes, load_map, parse_builtin)
-from .tree import (Tree, bary_level_start, build_bary, document_int, document_real, dump_tree,
-                   load_tree, truncate)
+from .tree import (Tree, bary_level_start, build_bary, document_int, document_keys,
+                   document_real, dump_tree, load_tree, truncate)
 from .weight import Weight, dump_weight, family_levels, load_weight, parse_family
 
 SCHEMA_VERSION = 1
@@ -45,33 +45,40 @@ def real_str(x: float) -> str:
     return format(float(x), ".15g")
 
 
-def report_json(report: Mapping) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    return _indented(report, "") + "\n"
+def report_json(report: Mapping, out: TextIO | None = None) -> str:
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+    With ``out``, a text stream, the text is written there instead, a piece
+    at a time and never whole, and the empty string is returned."""
+    if out is None:
+        return "".join(_indented(report, "")) + "\n"
+    out.writelines(_indented(report, ""))
+    out.write("\n")
+    return ""
 
 
 _CONTAINERS = (dict, list, tuple)
+_PIECE = 1 << 16  # characters of a table body per piece
 
 
-def _indented(value, outer: str) -> str:
+def _indented(value, outer: str) -> Iterator[str]:
     # json.dumps(value, indent=2, sort_keys=True) at indentation ``outer``, for
-    # string keys. Any indent makes json use its pure-Python encoder, so only
-    # the nesting is written here; containers of scalars go to the C encoder.
-    if not isinstance(value, _CONTAINERS):
-        return json.dumps(value)
+    # string keys, in pieces. Any indent makes json use its pure-Python encoder,
+    # so only the nesting is written here; containers of scalars go to the C
+    # encoder, and their text is cut into pieces of at most 64K characters.
+    if not isinstance(value, _CONTAINERS) or not value:
+        yield json.dumps(value)
+        return
     is_dict, pad = isinstance(value, dict), outer + "  "
     opening, closing = "{}" if is_dict else "[]"
-    if not value:
-        return opening + closing
-    members = value.values() if is_dict else value
-    if not any(issubclass(kind, _CONTAINERS) for kind in set(map(type, members))):
-        body = json.dumps(value, sort_keys=True, separators=(",\n" + pad, ": "))[1:-1]
-    elif is_dict:
-        body = (",\n" + pad).join(f"{json.dumps(k)}: {_indented(v, pad)}"
-                                  for k, v in sorted(value.items()))
+    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, value.values() if is_dict else value))):
+        for i, (key, member) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
+            yield f"{',' if i else opening}\n{pad}" + (f"{json.dumps(key)}: " if is_dict else "")
+            yield from _indented(member, pad)
     else:
-        body = (",\n" + pad).join(_indented(v, pad) for v in value)
-    return f"{opening}\n{pad}{body}\n{outer}{closing}"
+        text = json.dumps(value, sort_keys=True, separators=(",\n" + pad, ": "))
+        yield f"{opening}\n{pad}"
+        yield from (text[i:min(i + _PIECE, len(text) - 1)] for i in range(1, len(text) - 1, _PIECE))
+    yield f"\n{outer}{closing}"
 
 
 @dataclass(frozen=True)
@@ -106,6 +113,7 @@ def _require(document: Mapping, field: str, kind, where: str):
 
 
 def _check_file(source: Mapping, base_dir: Path, where: str) -> None:
+    document_keys(source, ("file",), where)  # inline keys beside a file would be ignored
     path = source["file"]
     if not isinstance(path, str):
         raise DocumentError(f"{where}: field \"file\" must be a path string")
@@ -129,11 +137,14 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     version = document.get("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise DocumentError(f"unsupported schema_version {version!r} (this build reads {SCHEMA_VERSION})")
+    document_keys(document, ("schema_version", "tree", "weight", "map", "p", "depth_ladder",
+                             "schatten_exponents", "seed", "oracle", "tolerances"), "analysis spec")
 
     tree_source = _require(document, "tree", Mapping, "analysis spec")
     if "file" in tree_source:
         _check_file(tree_source, base_dir, 'analysis spec field "tree"')
     elif tree_source.get("generator") == "bary":
+        document_keys(tree_source, ("generator", "branching", "branch_until"), "tree source")
         if _require(tree_source, "branching", int, "tree source") < 1:
             raise DocumentError('tree source: "branching" must be >= 1')
         if tree_source.get("branch_until") is not None:
@@ -176,6 +187,7 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     oracle_cfg = document.get("oracle", {})
     if not isinstance(oracle_cfg, Mapping):
         raise DocumentError('analysis spec: "oracle" must be an object')
+    document_keys(oracle_cfg, ("enabled", "max_vertices"), 'analysis spec field "oracle"')
     enabled = oracle_cfg.get("enabled", True)
     if not isinstance(enabled, bool):
         raise DocumentError('analysis spec: "oracle.enabled" must be a boolean')
@@ -188,6 +200,8 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     tol_cfg = document.get("tolerances", {})
     if not isinstance(tol_cfg, Mapping):
         raise DocumentError('analysis spec: "tolerances" must be an object')
+    document_keys(tol_cfg, ("isometry_ratio", "compactness_decay_ratio"),
+                  'analysis spec field "tolerances"')
     tols = (tol_cfg.get("isometry_ratio", 1e-12), tol_cfg.get("compactness_decay_ratio", 0.1))
     if not all(isinstance(t, (int, float)) and not isinstance(t, bool) and 0 < t < math.inf
                for t in tols):
@@ -388,34 +402,39 @@ def run_analyze(spec: AnalysisSpec) -> dict:
     return report
 
 
-def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray | None]]:
+def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
     """Singular values, Schatten partial sums and the trace / fixed-point
     identity per depth, with oracle columns when the instance fits the dense
-    cap. Also returns the deepest entry's analytic and oracle singular values
-    (None when the oracle did not run) for :func:`spectrum_csv`."""
+    cap. Every figure is read off the entry's classes, so on level classes
+    the oracle cross-checks them. Also returns the deepest entry's singular
+    values, descending, with their multiplicities, and its oracle singular
+    values (None when the oracle did not run) for :func:`spectrum_csv`."""
     if spec.p != 2.0:
         raise DocumentError(
             f"spectrum analysis needs the p = 2 Hilbert space, got p = {real_str(spec.p)}; "
             "singular values are not defined for other exponents here")
     entries = []
     sums_by_q: dict[float, list[float]] = {q: [] for q in spec.schatten_exponents}
-    for depth, op in zip(spec.depth_ladder, _operators(spec)):
-        analytic = singular_values_analytic(op)
-        sums = {q: schatten_sum(op, q) for q in spec.schatten_exponents}
+    for depth, (view, sizes, _) in zip(spec.depth_ladder, _analyzed(spec)):
+        n = sizes["vertex_count"]
+        values, counts = singular_value_classes(view)
+        sums = {q: schatten_sum(view, q) for q in spec.schatten_exponents}
         oracle_entry: dict = {"checked": False, "notice": None}
         oracle_values = None
         if not spec.oracle_enabled:
             oracle_entry["notice"] = "oracle disabled by the spec document"
-        elif len(op.tree) > spec.oracle_max_vertices:
+        elif n > spec.oracle_max_vertices:
             oracle_entry["notice"] = (
-                f"skipped: {len(op.tree)} vertices exceed the dense-oracle cap "
-                f"{spec.oracle_max_vertices}")
+                f"skipped: {n} vertices exceed the dense-oracle cap {spec.oracle_max_vertices}")
         else:
-            # every oracle figure is read off the dense matrix, none off the analytic path
-            matrix = oracle_mod.matrix_of(op)
+            # every oracle figure is read off the dense matrix, none off the analytic
+            # path; on level classes the matrix needs the entry's vertex operator
+            matrix = oracle_mod.matrix_of(view if isinstance(view, OperatorSpec) else
+                                          next(_operators(replace(spec, depth_ladder=(depth,)))))
             oracle_values = oracle_mod.svd_values(matrix)
             trace = float(np.trace(matrix))
             del matrix  # n^2 floats; freed before the next, larger entry is formed
+            analytic = np.repeat(values, counts)
             oracle_entry.update({
                 "checked": True,
                 "max_abs_difference": real_str(float(np.max(np.abs(analytic - oracle_values)))),
@@ -427,28 +446,31 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple[np.ndarray, np.ndarray
             })
         for q in spec.schatten_exponents:
             sums_by_q[q].append(sums[q])
-        diagonal = trace_diagonal(op)
+        diagonal = trace_diagonal(view)
+        top = np.repeat(values[:10], np.minimum(counts[:10], 10))[:10]  # the ten largest
         entries.append({
             "depth": depth,
-            "vertex_count": len(op.tree),
-            "hs_norm": real_str(hs_norm(op)),
+            "vertex_count": n,
+            "hs_norm": real_str(hs_norm(view)),
             "trace_diagonal": real_str(diagonal.value),
             "fixed_point_count": diagonal.fixed_point_count,
             "schatten_sums": {real_str(q): real_str(sums[q]) for q in spec.schatten_exponents},
-            "top_singular_values": [real_str(v) for v in analytic[:10]],
+            "top_singular_values": [real_str(v) for v in top],
             "oracle": oracle_entry,
         })
     report = _report_head("spectrum", spec)
     report["entries"] = entries
     report["schatten_trends"] = {
         real_str(q): schatten_trend(sums_by_q[q]) for q in spec.schatten_exponents}
-    return report, (analytic, oracle_values)
+    return report, (values, counts, oracle_values)
 
 
-def spectrum_csv(analytic: np.ndarray, oracle_values: np.ndarray | None = None) -> str:
-    """The spectrum as CSV, one row per singular value by rank, with an
-    oracle column when oracle values are given."""
-    columns = [analytic] if oracle_values is None else [analytic, oracle_values]
+def spectrum_csv(values: np.ndarray, multiplicities: np.ndarray,
+                 oracle_values: np.ndarray | None = None) -> str:
+    """The spectrum as CSV, one row per singular value by rank (``values[j]``
+    on ``multiplicities[j]`` rows), with an oracle column when oracle values
+    are given."""
+    columns = [np.repeat(values, multiplicities)] + ([] if oracle_values is None else [oracle_values])
     lines = ["rank,sigma_analytic" + ",sigma_oracle" * (oracle_values is not None)]
     lines += [",".join([str(i), *map(real_str, row)])
               for i, row in enumerate(zip(*columns), start=1)]

@@ -17,12 +17,12 @@ from .verify import SUITES, run_verify
 
 
 def _emit(report: dict, out: str | None) -> None:
-    text = report_json(report)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        print(f"report written to {out}")
-    else:
-        sys.stdout.write(text)
+    if not out:
+        report_json(report, sys.stdout)
+        return
+    with open(out, "w", encoding="utf-8") as fh:
+        report_json(report, fh)
+    print(f"report written to {out}")
 
 
 def _summarize_analyze(report: dict) -> None:

@@ -17,9 +17,10 @@ supremum to the power 1/p; in general it sharpens the multiplicity bound
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -59,8 +60,9 @@ class ClassView:
       empty domain;
     - ``_source_pair(i)``: symbol(v), w(symbol(v)) and w(v) for the first
       vertex v of domain class ``i``;
-    - ``_preimage_terms(i)``: the n-length array of ``_image_terms`` of the
-      first vertex of class ``i`` at its preimage, zero elsewhere.
+    - ``_class_sizes``: the number of vertices in each class;
+    - ``_preimage_sum(i)``: ``np.sum``, bit for bit, of the n-length array that
+      holds ``_image_terms`` of class ``i``'s first vertex at its preimage, else 0.
     """
 
     @cached_property
@@ -78,6 +80,13 @@ class ClassView:
     def _vertex(self, i: int) -> int:
         """The first vertex of class ``i``."""
         return i if self._h_first is None else int(self._h_first[i])
+
+    def _sum(self, per_class: np.ndarray) -> float:
+        """``np.sum``, bit for bit, of the n-length array that holds
+        ``per_class`` on the classes."""
+        if self._h_first is None:
+            return float(np.sum(per_class))
+        return _run_sum(per_class, self._class_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,12 +137,14 @@ class OperatorSpec(ClassView):
         u = int(self.symbol.image[v])
         return u, self.weight.values[u], self.weight.values[v]
 
-    def _preimage_terms(self, u: int) -> np.ndarray:
+    _class_sizes = property(lambda self: np.ones(len(self.tree), dtype=np.int64))
+
+    def _preimage_sum(self, u: int) -> float:
         lam = self.weight.values
         preimage = np.flatnonzero(self.symbol.image == u)
         terms = np.zeros(len(self.tree), dtype=np.float64)
         terms[preimage] = _image_terms(lam[u], lam[preimage], self.p)
-        return terms
+        return self._sum(terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +152,8 @@ class LevelClassSpec(ClassView):
     """The operator of a builtin symbol under a family weight on a generated
     b-ary tree, by level classes: the tree whose levels start at
     ``level_start``, the weight ``weights[n]`` at depth ``n`` and the
-    symbol's ``classes``. It forms no per-vertex array but the
-    ``not_injective`` witness's terms. ``profile`` is ``classes``."""
+    symbol's ``classes``. It forms no per-vertex array: its sums run on
+    run lengths. ``profile`` is ``classes``."""
 
     level_start: np.ndarray
     weights: np.ndarray
@@ -174,6 +185,12 @@ class LevelClassSpec(ClassView):
     # the last domain level's image is the deepest
     _max_image_depth = property(lambda self: int(self.classes.image_level[-1]))
 
+    @property
+    def _fixed_point_count(self) -> int:  # a level mapped to itself is fixed vertex by vertex
+        image_level = self.classes.image_level
+        fixed = image_level == np.arange(image_level.size)
+        return int(np.diff(self.level_start)[:image_level.size][fixed].sum())
+
     def _source_pair(self, i: int) -> tuple[int, float, float]:
         m = self.classes.image_level[i]  # the first vertex of level i goes to the first of level m
         return int(self.level_start[m]), self.weights[m], self.weights[i]
@@ -188,13 +205,17 @@ class LevelClassSpec(ClassView):
         levels = c.source_level[i:i + 1]
         return int(self.level_start[levels[0]]), levels, c.preimage_count[i:i + 1]
 
-    def _preimage_terms(self, i: int) -> np.ndarray:
+    @cached_property
+    def _class_sizes(self) -> np.ndarray:
+        return _read_only(np.diff(self.classes.first, append=self.level_start[-1]))
+
+    def _preimage_sum(self, i: int) -> float:
         start, levels, reps = self._preimage_runs(i)
         level = np.searchsorted(self.classes.class_start, i, side="right") - 1
-        terms = np.zeros(int(self.level_start[-1]), dtype=np.float64)
-        terms[start:start + int(reps.sum())] = np.repeat(
-            _image_terms(self.weights[level], self.weights[levels], self.p), reps)
-        return terms
+        terms = _image_terms(self.weights[level], self.weights[levels], self.p)
+        after = int(self.level_start[-1]) - start - int(reps.sum())  # zeros, terms, zeros
+        return _run_sum(np.concatenate(([0.0], terms, [0.0])),
+                        np.concatenate(([start], reps, [after])))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -216,6 +237,31 @@ def _sequential_sum(values: np.ndarray, reps: np.ndarray) -> float:
         with np.errstate(over="ignore"):  # bincount's sum overflows to inf silently
             total = np.add.accumulate(np.append(total, values[at]))[-1]
     return total
+
+
+def _run_sum(values: np.ndarray, counts: np.ndarray) -> float:
+    """``np.sum(np.repeat(values, counts))``, bit for bit, without forming
+    the array. numpy splits a block of more than 128 terms at half its
+    length rounded down to a multiple of 8 and sums the others as leaves,
+    from 0.0. This follows it, recursing only into blocks that straddle a
+    run boundary; a block inside one run is summed once per (run, length).
+    A leaf is summed by numpy, from 0.0, which changes at most the sign of
+    a zero sum, and the final 0.0 + sum drops that sign."""
+    starts = [0, *np.cumsum(counts).tolist()]  # run j holds terms starts[j] to starts[j + 1] - 1
+
+    @cache
+    def block(lo: int, n: int, j: int) -> float:  # run ``j`` holds term ``lo``
+        if starts[j] < lo and lo + n <= starts[j + 1]:  # inside one run: n alone matters
+            return block(starts[j], n, j)
+        if n > 128:
+            mid = lo + n // 2 - n // 2 % 8
+            return block(lo, mid - lo, j) + block(mid, lo + n - mid, bisect.bisect(starts, mid) - 1)
+        k = bisect.bisect_left(starts, lo + n, j)
+        cut = [min(max(start, lo), lo + n) for start in starts[j:k + 1]]  # runs j to k - 1 in the leaf
+        return float(np.repeat(values[j:k], [b - a for a, b in zip(cut, cut[1:])]).sum())
+
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan as np.sum gives, unwarned
+        return 0.0 + block(0, starts[-1], bisect.bisect(starts, 0) - 1) if starts[-1] else 0.0
 
 
 def _image_terms(lam_u: float, lam_preimage: np.ndarray, p: float) -> np.ndarray:
@@ -314,15 +360,14 @@ def isometry_check(spec: ClassView, ratio_tol: float = 1e-12) -> IsometryVerdict
     frontier_only = miss is not None and (
         int(np.searchsorted(spec._level_offsets, miss, side="right")) - 1 == spec._truncation_depth)
 
-    def _failure(reason, u, terms=()):
-        # at their vertex positions in ``terms`` the image's terms are grouped by
-        # the pairwise sum as in norm_p, so the norm is its dense one bit for bit
-        norm = float(np.sum(terms) ** (1.0 / p)) if len(terms) else 0.0
-        return IsometryVerdict(False, reason, u, norm, frontier_only)
+    def _failure(reason, u, total=0.0):
+        # ``total`` is the image's terms summed at their vertex positions, as
+        # norm_p groups them, so the norm is its dense one bit for bit
+        return IsometryVerdict(False, reason, u, float(np.float64(total) ** (1.0 / p)), frontier_only)
 
     if not profile.injective:
         i = int(np.argmax(counts > 1))
-        return _failure("not_injective", spec._vertex(i), spec._preimage_terms(i))
+        return _failure("not_injective", spec._vertex(i), spec._preimage_sum(i))
     if miss is not None:
         return _failure("not_surjective", spec._vertex(miss))  # empty preimage
 
@@ -330,7 +375,7 @@ def isometry_check(spec: ClassView, ratio_tol: float = 1e-12) -> IsometryVerdict
     if off.any():
         u, lam_u, lam_v = spec._source_pair(int(np.argmax(off)))
         # a one-vertex preimage: among zeros, one term is its own pairwise sum
-        return _failure("ratio_deviation", u, _image_terms(lam_u, np.array([lam_v]), p))
+        return _failure("ratio_deviation", u, _image_terms(lam_u, np.array([lam_v]), p)[0])
     return IsometryVerdict(True, None, None, None, False)
 
 

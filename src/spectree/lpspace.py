@@ -9,12 +9,10 @@ convention note.
 from __future__ import annotations
 
 import math
-from typing import Mapping
 
 import numpy as np
 
-from .errors import DocumentError
-from .tree import Tree, _check_vertex, document_real, table_values
+from .tree import Tree, _check_vertex
 from .weight import Weight
 
 TreeFunction = np.ndarray
@@ -80,27 +78,3 @@ def project(tree: Tree, f: TreeFunction, n: int) -> TreeFunction:
         raise ValueError("projection level must be >= 0")
     f = _as_function(tree, f)
     return np.where(tree.depth <= n, f, 0.0 + 0.0j)
-
-
-def load_function(tree: Tree, document: Mapping) -> TreeFunction:
-    """Build a tree function from a ``{"values": {vertex-id: [re, im]}}``
-    document covering every vertex."""
-    if not isinstance(document, Mapping) or "values" not in document:
-        raise DocumentError('function document must be an object with a "values" field')
-    f = np.empty(len(tree), dtype=np.complex128)
-    for v, pair in enumerate(table_values(tree, document, "function", "values")):
-        what = f"function value at vertex '{tree.name_of(v)}'"
-        try:
-            re, im = pair
-        except (TypeError, ValueError):
-            raise DocumentError(f"{what} must be a [re, im] pair, got {pair!r}") from None
-        f[v] = complex(document_real(re, what), document_real(im, what))
-    if not np.isfinite(f.view(np.float64)).all():
-        bad = int(np.flatnonzero(~np.isfinite(f))[0])
-        raise DocumentError(f"function value at vertex '{tree.name_of(bad)}' is not finite")
-    return f
-
-
-def dump_function(tree: Tree, f: TreeFunction) -> dict:
-    f = np.asarray(f, dtype=np.complex128)
-    return {"values": {name: [z.real, z.imag] for name, z in zip(tree.vertex_names(), f.tolist())}}

@@ -157,13 +157,3 @@ def norm_search(spec: OperatorSpec, samples: int = 64, seed: int = 0) -> float:
             continue
         best = max(best, image_norm(z / nz))
     return float(best)
-
-
-def dump_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write the nonzero triplets (row, col, value) for external checking."""
-    matrix = np.asarray(matrix, dtype=np.float64)
-    rows, cols = np.nonzero(matrix)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("row,col,value\n")
-        for r, c in zip(rows, cols):
-            fh.write(f"{int(r)},{int(c)},{matrix[r, c]:.17g}\n")

@@ -13,7 +13,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .compop import TREND_INCONCLUSIVE, OperatorSpec, preimage_ratio
+from .compop import TREND_INCONCLUSIVE, ClassView, OperatorSpec
 
 TREND_CONVERGING = "converging"
 TREND_DIVERGING = "diverging"
@@ -22,25 +22,33 @@ _CONVERGE_REL_TOL = 1e-6  # schatten_trend's relative final increments
 _DIVERGE_REL_FLOOR = 1e-2
 
 
-def _require_hilbert(spec: OperatorSpec) -> None:
+def _require_hilbert(spec: ClassView) -> None:
     if spec.p != 2.0:
         raise ValueError(f"Schatten-side quantities live on the p = 2 Hilbert space, got p = {spec.p}")
 
 
-def singular_values_analytic(spec: OperatorSpec) -> np.ndarray:
+def singular_value_classes(spec: ClassView) -> tuple[np.ndarray, np.ndarray]:
+    """The singular values sqrt(w(preimage(u)) / w(u)) of the operator's
+    classes, descending, with the number of vertices that carry each."""
+    _require_hilbert(spec)
+    values = np.sqrt(spec._h)
+    order = np.argsort(values, kind="stable")[::-1]
+    return values[order], spec._class_sizes[order]
+
+
+def singular_values_analytic(spec: ClassView) -> np.ndarray:
     """All singular values, sqrt(w(preimage(u)) / w(u)) for each vertex u,
     descending; targets nobody reaches contribute zeros."""
-    _require_hilbert(spec)
-    return np.sort(np.sqrt(preimage_ratio(spec)))[::-1]
+    return np.repeat(*singular_value_classes(spec))
 
 
-def hs_norm(spec: OperatorSpec) -> float:
+def hs_norm(spec: ClassView) -> float:
     """Hilbert-Schmidt norm: [sum_u w(preimage(u)) / w(u)] ** (1/2)."""
     _require_hilbert(spec)
-    return float(np.sqrt(preimage_ratio(spec).sum()))
+    return float(np.sqrt(spec._sum(spec._h)))
 
 
-def schatten_sum(spec: OperatorSpec, q: float) -> float:
+def schatten_sum(spec: ClassView, q: float) -> float:
     """Partial Schatten sum sum_u [w(preimage(u)) / w(u)]^(q/2) over the
     truncation. Coincides with the sum of the q-th powers of the singular
     values because the diagonal entries are the squared singular values."""
@@ -48,9 +56,9 @@ def schatten_sum(spec: OperatorSpec, q: float) -> float:
     q = float(q)
     if not q >= 1.0:
         raise ValueError(f"Schatten exponent must satisfy q >= 1, got {q!r}")
-    # empty preimages contribute 0 ** (q/2) == 0; summing the full array keeps
-    # the q = 2 case the same summation as the squared Hilbert-Schmidt norm
-    return float(np.sum(preimage_ratio(spec) ** (q / 2.0)))
+    # empty preimages contribute 0 ** (q/2) == 0; summing over every vertex
+    # keeps the q = 2 case the same summation as the squared Hilbert-Schmidt norm
+    return spec._sum(spec._h ** (q / 2.0))
 
 
 class TraceDiagonal(NamedTuple):
@@ -58,18 +66,19 @@ class TraceDiagonal(NamedTuple):
     fixed_point_count: int
 
 
-def trace_diagonal(spec: OperatorSpec) -> TraceDiagonal:
+def trace_diagonal(spec: ClassView) -> TraceDiagonal:
     """Basis-diagonal trace, computed two ways that must agree exactly.
 
     Each diagonal term is indicator(symbol(u) == u) * w(u)/w(u), which is
     exactly 0.0 or 1.0 in floating point, so the summed trace equals the
-    fixed-point count as an integer identity.
+    fixed-point count as an integer identity. On level classes both are the
+    number of vertices on the levels the symbol fixes.
     """
     _require_hilbert(spec)
-    dom = spec.symbol.domain
-    img = spec.symbol.image[spec.symbol.domain_index]
-    fixed = dom[img == dom]
-    lam = spec.weight.values
+    if not isinstance(spec, OperatorSpec):
+        count = spec._fixed_point_count
+        return TraceDiagonal(float(count), count)
+    fixed, lam = spec.profile.fixed_points, spec.weight.values
     value = float(np.sum(lam[fixed] / lam[fixed]))
     return TraceDiagonal(value, int(fixed.size))
 

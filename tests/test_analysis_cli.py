@@ -441,6 +441,27 @@ def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
         run_spectrum(read_analysis_spec(path))
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"tolerance": {"isometry_ratio": 0.05}}, "tolerance"),
+    ({"oracle": {"max_vertex": 3}}, "max_vertex"),
+    ({"tolerances": {"isometry": 0.05}}, "isometry"),
+    ({"tree": {"generator": "bary", "branching": 2, "branchuntil": 3}}, "branchuntil"),
+    ({"tree": {"file": "tree.json", "branching": 2}}, "branching"),
+    ({"weight": {"file": "weight.json", "family": "constant", "params": {"value": 3}}}, "family"),
+    ({"map": {"file": "map.json", "builtin": "parent"}}, "builtin"),
+], ids=["spec", "oracle", "tolerances", "generated_tree", "file_tree", "file_weight", "file_map"])
+def test_unknown_spec_keys_are_refused(tmp_path, capsys, overrides, key):
+    # a "file" source holds nothing else: its inline keys would be echoed, not read
+    tree = build_bary(2, 2)
+    for name, doc in [("tree.json", dump_tree(tree)), ("weight.json", {"family": "reciprocal_depth"}),
+                      ("map.json", {"builtin": "parent"})]:
+        (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", write_spec(tmp_path, base_doc(depth_ladder=[1, 2]))]) == 0
+    capsys.readouterr()
+    assert main(["analyze", write_spec(tmp_path, base_doc(depth_ladder=[1, 2]) | overrides)]) == 2
+    assert f"unknown key '{key}'" in capsys.readouterr().err
+
+
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 
 

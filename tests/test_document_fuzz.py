@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from spectree import DocumentError, build_bary, load_function, load_map, load_tree, load_weight
+from spectree import DocumentError, build_bary, load_map, load_tree, load_weight
 from spectree.analysis import parse_analysis_spec
 
 TREE = build_bary(2, 2)  # ids and names "0" .. "6"
@@ -68,7 +68,6 @@ weight_docs = mutants({"family": "constant", "params": {"value": 1}},
                       {"family": "reciprocal_depth"}, {"weights": TABLE})
 map_docs = mutants({"builtin": "level_shift", "params": {"k": 1}}, {"builtin": "parent"},
                    {"builtin": "depth_square"}, {"map": {name: "0" for name in NAMES}})
-function_docs = mutants({"values": {name: [1.0, -0.5] for name in NAMES}})
 spec_docs = mutants(*({
     "schema_version": 1, "tree": tree, "weight": weight, "map": {"builtin": "level_shift",
                                                                  "params": {"k": 1}},
@@ -101,11 +100,6 @@ def test_load_map_returns_a_map_or_refuses(doc):
     load_or_refuse(load_map, TREE, doc)
 
 
-@given(function_docs)
-def test_load_function_returns_a_function_or_refuses(doc):
-    load_or_refuse(load_function, TREE, doc)
-
-
 @given(spec_docs)
 def test_parse_analysis_spec_returns_a_spec_or_refuses(doc):
     load_or_refuse(parse_analysis_spec, doc, Path(__file__).parent)
@@ -115,8 +109,7 @@ def test_parse_analysis_spec_returns_a_spec_or_refuses(doc):
     (load_weight, {"family": "constant", "params": {"value": -1}}),
     (load_weight, {"family": "geometric", "params": {"ratio": 0}}),
     (load_map, {"builtin": "level_shift", "params": {"k": -1}}),
-    (load_function, {"values": {name: [BIG, 0] for name in NAMES}}),
-], ids=["negative_constant", "zero_ratio", "negative_shift", "huge_function_value"])
+], ids=["negative_constant", "zero_ratio", "negative_shift"])
 def test_out_of_range_parameters_are_document_errors(load, doc):
     with pytest.raises(DocumentError):
         load(TREE, doc)

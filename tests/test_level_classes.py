@@ -1,10 +1,13 @@
-"""The level-class path of ``analyze`` against the vertex path.
+"""The level-class path of ``analyze`` and ``spectrum`` against the vertex path.
 
 A spec with a generated tree, a family weight and a builtin map is analyzed
 by level classes. Forcing the vertex path on the same spec must give the
-same report text byte for byte, and the same refusal."""
+same report text and spectrum CSV byte for byte, and the same refusal."""
 
 import json
+import math
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectree import analysis, compop
-from spectree.analysis import parse_analysis_spec, report_json, run_analyze
+from spectree.analysis import (parse_analysis_spec, read_analysis_spec, report_json, run_analyze,
+                               run_spectrum, spectrum_csv)
 from spectree.cli import main
 
+BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 P_GRID = (1, 1.5, 2, 3)
 WEIGHTS = [
     {"family": "constant", "params": {"value": 2.5}},
@@ -42,12 +47,22 @@ def outcome(doc):
         return type(exc), str(exc)
 
 
-def assert_paths_agree(doc):
+def spectrum_outcome(doc):
+    """The report text and CSV ``spectrum`` writes for ``doc``, or how it
+    refuses it."""
+    try:
+        report, values = run_spectrum(parse_analysis_spec(doc))
+        return report_json(report), spectrum_csv(*values)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def assert_paths_agree(doc, run=outcome):
     assert analysis._by_level_classes(parse_analysis_spec(doc))
-    by_classes = outcome(doc)
+    by_classes = run(doc)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_by_level_classes", lambda spec: False)
-        by_vertex = outcome(doc)
+        by_vertex = run(doc)
     assert by_classes == by_vertex
     return by_classes
 
@@ -132,3 +147,109 @@ def test_sequential_sum_is_the_bincount_sum(values, reps):
         patch.setattr(compop, "_SUM_CHUNK", 7)  # several chunks, and runs split across them
         assert compop._sequential_sum(values, reps) == want
     assert compop._sequential_sum(values, reps) == want
+
+
+SPECTRUM_MAPS = [{"builtin": "identity"}, {"builtin": "parent"},
+                 {"builtin": "level_shift", "params": {"k": 2}}, {"builtin": "depth_square"}]
+# the default cap (600 vertices), a cap that the deeper entries pass, and no oracle
+ORACLES = [{}, {"max_vertices": 20}, {"enabled": False}]
+
+
+@pytest.mark.parametrize("branch_until", [None, 2])
+@pytest.mark.parametrize("branching", [1, 2, 3])
+def test_every_builtin_and_family_agrees_on_spectrum(branching, branch_until):
+    tree = {"generator": "bary", "branching": branching, "branch_until": branch_until}
+    for i, (weight, symbol) in enumerate((w, m) for w in WEIGHTS for m in SPECTRUM_MAPS):
+        doc = spec_doc(tree, weight, symbol, 2, [0, 2, 4, 7]) | {
+            "schatten_exponents": [1, 2, 3.5], "oracle": ORACLES[i % 3]}
+        report, csv_text = assert_paths_agree(doc, spectrum_outcome)
+        entries = json.loads(report)["entries"]
+        cap = doc["oracle"].get("max_vertices", 600) if doc["oracle"].get("enabled", True) else 0
+        assert [e["oracle"]["checked"] for e in entries] == [e["vertex_count"] <= cap
+                                                             for e in entries]
+        assert len(csv_text.splitlines()) == 1 + entries[-1]["vertex_count"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 7), st.one_of(st.none(), st.integers(0, 7)),
+       st.sampled_from(WEIGHTS[:2] + [{"family": "geometric", "params": {"ratio": r}}
+                                      for r in (0.5, 1.5, 3.0)]),
+       st.sampled_from(SPECTRUM_MAPS + [{"builtin": "level_shift", "params": {"k": 9}}]),
+       st.sampled_from(ORACLES), st.lists(st.sampled_from([1, 1.5, 2, 3, 4]), min_size=1,
+                                          max_size=3, unique=True))
+def test_generated_spectrum_specs_agree(branching, depth, branch_until, weight, symbol,
+                                        oracle, exponents):
+    doc = spec_doc({"generator": "bary", "branching": branching, "branch_until": branch_until},
+                   weight, symbol, 2, sorted({depth // 2, depth}))
+    assert_paths_agree(doc | {"oracle": oracle, "schatten_exponents": exponents},
+                       spectrum_outcome)
+
+
+def test_spectrum_csv_files_agree(tmp_path):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_doc({"generator": "bary", "branching": 2}, WEIGHTS[2],
+                                        {"builtin": "parent"}, 2, [3, 10])), encoding="utf-8")
+    written = []
+    for by_classes in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_by_level_classes", lambda spec, keep=by_classes: keep)
+            argv = ["spectrum", str(path), "--csv", str(tmp_path / "s.csv"),
+                    "--out", str(tmp_path / "s.json")]
+            assert main(argv) == 0
+        written.append(((tmp_path / "s.csv").read_bytes(), (tmp_path / "s.json").read_bytes()))
+    assert written[0] == written[1]
+    assert written[0][0].count(b"\n") == 1 + 2047
+
+
+def test_spectrum_ladder_takes_the_class_path(monkeypatch):
+    # only the entries the oracle checks form a tree, and they are formed at their own depth
+    spec = read_analysis_spec(BENCH_DOCS / "spectrum_ladder.json")
+    assert analysis._by_level_classes(spec)
+    built, original = [], analysis.build_bary
+
+    def counted(branching, depth, branch_until=None):
+        built.append(depth)
+        return original(branching, depth, branch_until)
+
+    monkeypatch.setattr(analysis, "build_bary", counted)
+    report, _ = run_spectrum(spec)
+    assert [e["vertex_count"] for e in report["entries"]] == [127, 255, 511, 262143]
+    assert [e["oracle"]["checked"] for e in report["entries"]] == [True, True, True, False]
+    assert built == [6, 7, 8]
+
+
+def test_spectrum_past_the_oracle_cap_peaks_below_one_mib():
+    # level classes: the peak does not grow with the vertex count
+    for ladder, vertices in [([17], 262_143), ([17, 21], 4_194_303)]:
+        spec = parse_analysis_spec({
+            "tree": {"generator": "bary", "branching": 2}, "weight": WEIGHTS[2],
+            "map": {"builtin": "level_shift", "params": {"k": 3}}, "p": 2,
+            "depth_ladder": ladder, "schatten_exponents": [1, 2, 4]})
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            report, values = run_spectrum(spec)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report["entries"][-1]["vertex_count"] == vertices
+        assert not report["entries"][-1]["oracle"]["checked"]
+        assert int(values[1].sum()) == vertices
+        assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB at {vertices} vertices"
+
+
+EXTREMES = [1 / 3, 1e300, 5e-324, 1e308, 0.0, -0.0, -2.5, math.inf]
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False) | st.sampled_from(EXTREMES),
+                          st.integers(0, 300) | st.sampled_from([0, 7, 8, 128, 129, 40_000])),
+                max_size=8))
+def test_run_sum_is_the_numpy_sum_of_the_runs(runs):
+    values = np.array([v for v, _ in runs], dtype=np.float64)
+    counts = np.array([c for _, c in runs], dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.sum(np.repeat(values, counts))
+    got = compop._run_sum(values, counts)
+    assert (got == want and math.copysign(1, got) == math.copysign(1, want)
+            or math.isnan(got) and math.isnan(want))

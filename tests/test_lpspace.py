@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectree import (DocumentError, basis_vector, build_bary, constant_weight,
-                      custom_weight, dump_function, inner, load_function, norm_p,
-                      point_eval_norm, project, validate_exponent)
+from spectree import (basis_vector, build_bary, constant_weight, custom_weight, inner,
+                      norm_p, point_eval_norm, project, validate_exponent)
 from spectree.instances import random_function
 
 P_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -153,22 +152,6 @@ def test_norm_triangle_inequality_and_homogeneity(seed, p):
     assert norm_p(f + g, w, p) <= nf + ng + 1e-10
     c = rng.uniform(0.0, 7.0)
     assert norm_p(c * f, w, p) == pytest.approx(c * nf, rel=1e-10, abs=1e-12)
-
-
-def test_function_document_round_trip():
-    t = build_bary(2, 1)
-    f = np.array([1 + 2j, -0.5j, 3.0])
-    doc = dump_function(t, f)
-    assert np.array_equal(load_function(t, doc), f)
-    # table values are never compared with ==, so array pairs load too
-    arrays = {"values": {k: np.array(v) for k, v in doc["values"].items()}}
-    assert np.array_equal(load_function(t, arrays), f)
-    with pytest.raises(DocumentError, match="missing"):
-        load_function(t, {"values": {"0": [1, 0]}})
-    with pytest.raises(DocumentError, match="unknown"):
-        load_function(t, {"values": {"0": [1, 0], "1": [0, 0], "2": [0, 0], "7": [0, 0]}})
-    with pytest.raises(DocumentError, match="pair"):
-        load_function(t, {"values": {"0": [1], "1": [0, 0], "2": [0, 0]}})
 
 
 def test_shape_mismatch_rejected():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spectree import (OperatorSpec, build_bary, compactness_profile, constant_weight,
-                      custom_weight, dump_matrix_csv, frobenius_norm,
+                      custom_weight, frobenius_norm,
                       geometric_weight, identity_map, jacobi_eigenvalues,
                       matrix_of, norm_search, operator_norm, parent_map,
                       preimage_ratio, reciprocal_depth_weight,
@@ -206,13 +206,3 @@ def test_norm_search_is_deterministic_per_seed():
     a = norm_search(spec, samples=12, seed=42)
     b = norm_search(spec, samples=12, seed=42)
     assert a == b
-
-
-def test_matrix_csv_dump(tmp_path):
-    t = build_bary(1, 1)
-    m = matrix_of(spec2(t, constant_weight(t, 1.0), parent_map(t)))
-    out = tmp_path / "matrix.csv"
-    dump_matrix_csv(m, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "row,col,value"
-    assert lines[1:] == ["0,0,1", "1,0,1"]
