@@ -13,7 +13,7 @@ from spectree import (OperatorSpec, apply, build_bary, constant_weight,
                       custom_weight, isometry_check, matrix_of, norm_p,
                       parent_map)
 from spectree.instances import (random_nonidentity_permutation_map,
-                                random_unit_function)
+                                random_unit_functions)
 
 rng = np.random.default_rng(11)
 tree = build_bary(2, 3)
@@ -24,9 +24,9 @@ print("== constant weight + a random bijection ==")
 for p in (1.0, 2.0, 3.0):
     spec = OperatorSpec(tree, weight, symbol, p)
     verdict = isometry_check(spec)
-    f = random_unit_function(rng, weight, p)
-    moved = norm_p(apply(spec, f), weight, p)
-    print(f"p={p}: isometry={verdict.is_isometry}, random unit function maps to norm {moved:.12f}")
+    moved = norm_p(apply(spec, random_unit_functions(rng, weight, p, 3)), weight, p)
+    print(f"p={p}: isometry={verdict.is_isometry}, three random unit functions map to norms "
+          + ", ".join(f"{m:.12f}" for m in moved))
 
 print("\n== nudging one weight value by 1 percent ==")
 moved_vertex = int(np.flatnonzero(symbol.image != np.arange(len(tree)))[0])

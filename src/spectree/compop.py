@@ -282,11 +282,12 @@ class OperatorNorm(NamedTuple):
 
 
 def apply(spec: OperatorSpec, f: TreeFunction) -> TreeFunction:
-    """(C f)(v) = f(symbol(v)) on the symbol's domain, zero outside it."""
-    f = _as_function(spec.tree, f)
-    g = np.zeros(len(spec.tree), dtype=np.complex128)
+    """(C f)(v) = f(symbol(v)) on the symbol's domain, zero outside it; row
+    by row on a ``(k, n)`` stack."""
+    f = _as_function(spec.tree, f, stack=True)
+    g = np.zeros(f.shape, dtype=np.complex128)
     dom = spec.symbol.domain_index
-    g[dom] = f[spec.symbol.image[dom]]
+    g[..., dom] = f[..., spec.symbol.image[dom]]
     return g
 
 

@@ -20,15 +20,13 @@ _P_CHOICES = (1.0, 1.5, 2.0, 3.0)
 _MAX_BRANCHING = 3  # random trees are b-ary of depth 2.._MAX_DEPTH
 _MAX_DEPTH = 6
 _WEIGHT_LOW, _WEIGHT_HIGH = 0.01, 100.0  # random weights are uniform on this interval
+_SHAPES = tuple((b, d, bary_vertex_count(b, d))  # (branching, depth, vertex count)
+                for b in range(1, _MAX_BRANCHING + 1) for d in range(2, _MAX_DEPTH + 1))
 
 
 def random_bary_tree(rng: np.random.Generator, max_vertices: int = 600,
                      min_vertices: int = 1) -> Tree:
-    combos = [(b, d)
-              for b in range(1, _MAX_BRANCHING + 1)
-              for d in range(2, _MAX_DEPTH + 1)
-              if (count := bary_vertex_count(b, d, max_vertices=max_vertices)) is not None
-              and count >= min_vertices]
+    combos = [(b, d) for b, d, count in _SHAPES if min_vertices <= count <= max_vertices]
     if not combos:
         raise ValueError(f"no b-ary tree fits [{min_vertices}, {max_vertices}] vertices")
     b, d = combos[int(rng.integers(len(combos)))]
@@ -93,14 +91,20 @@ def random_function(rng: np.random.Generator, tree: Tree) -> np.ndarray:
     return rng.standard_normal(len(tree)) + 1j * rng.standard_normal(len(tree))
 
 
-def random_unit_function(rng: np.random.Generator, weight: Weight, p: float) -> np.ndarray:
-    f = random_function(rng, weight.tree)
+def random_unit_functions(rng: np.random.Generator, weight: Weight, p: float,
+                          count: int) -> np.ndarray:
+    """A ``(count, n)`` stack of unit functions, row i drawn as the i-th of
+    ``count`` ``random_function`` calls; a zero draw is replaced by the
+    normalized indicator of the root."""
+    draws = rng.standard_normal((count, 2, len(weight.tree)))
+    f = draws[:, 0] + 1j * draws[:, 1]
     nrm = norm_p(f, weight, p)
-    if nrm == 0.0:
-        f = np.zeros(len(weight.tree), dtype=np.complex128)
-        f[0] = 1.0
-        nrm = norm_p(f, weight, p)
-    return f / nrm
+    zero = nrm == 0.0
+    if zero.any():
+        f[zero] = 0.0
+        f[zero, 0] = 1.0
+        nrm[zero] = norm_p(f[zero], weight, p)
+    return f / nrm[:, None]
 
 
 def structured_specs(p: float = 2.0) -> list[tuple[str, OperatorSpec]]:

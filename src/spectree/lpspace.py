@@ -1,9 +1,10 @@
 """Functions on the tree and the weighted p-norm machinery.
 
-Tree functions are plain complex arrays indexed by vertex id. The inner
-product conjugates its second argument (the usual Hilbert convention), so
-``inner(f, f)`` is the squared 2-norm for complex f; reports carry this
-convention note.
+Tree functions are plain complex arrays indexed by vertex id; ``norm_p``
+and ``compop.apply`` also take a ``(k, n)`` stack of them, one per row.
+The inner product conjugates its second argument (the usual Hilbert
+convention), so ``inner(f, f)`` is the squared 2-norm for complex f;
+reports carry this convention note.
 """
 
 from __future__ import annotations
@@ -25,18 +26,23 @@ def validate_exponent(p: float) -> float:
     return p
 
 
-def _as_function(tree: Tree, f) -> np.ndarray:
+def _as_function(tree: Tree, f, stack: bool = False) -> np.ndarray:
     f = np.asarray(f, dtype=np.complex128)
-    if f.shape != (len(tree),):
+    if f.shape[-1:] != (len(tree),) or f.ndim > 1 + stack:
         raise ValueError(f"function needs one value per vertex ({len(tree)}), got shape {f.shape}")
     return f
 
 
-def norm_p(f: TreeFunction, weight: Weight, p: float) -> float:
-    """[sum over v of |f(v)|^p * weight(v)] ** (1/p)."""
+def norm_p(f: TreeFunction, weight: Weight, p: float) -> float | np.ndarray:
+    """[sum over v of |f(v)|^p * weight(v)] ** (1/p); on a ``(k, n)`` stack,
+    the array of the k row norms, each equal to ``norm_p`` of its row."""
     p = validate_exponent(p)
-    f = _as_function(weight.tree, f)
-    return float(np.sum(np.abs(f) ** p * weight.values) ** (1.0 / p))
+    f = _as_function(weight.tree, f, stack=True)
+    sums = np.sum(np.abs(f) ** p * weight.values, axis=-1)
+    if f.ndim == 1:
+        return float(sums ** (1.0 / p))
+    # the root is taken per row: numpy's vectorized power may differ by an ulp
+    return np.array([s ** (1.0 / p) for s in sums])
 
 
 def inner(f: TreeFunction, g: TreeFunction, weight: Weight) -> complex:

@@ -218,9 +218,10 @@ def build_bary(branching: int, depth: int, branch_until: int | None = None) -> T
 def load_tree(document: Mapping) -> Tree:
     """Build a tree from a ``{"vertices": [{"id", "parent"}, ...]}`` document.
 
-    The root is the unique entry with a null parent. Vertex ids are assigned
-    in canonical level order, siblings in document order. Internal vertices
-    without children are accepted but recorded in ``terminal_gaps``.
+    An entry holds no other key. The root is the unique entry with a null
+    parent. Vertex ids are assigned in canonical level order, siblings in
+    document order. Internal vertices without children are accepted but
+    recorded in ``terminal_gaps``.
     """
     if not isinstance(document, Mapping) or "vertices" not in document:
         raise DocumentError('tree document must be an object with a "vertices" array')
@@ -241,6 +242,8 @@ def load_tree(document: Mapping) -> Tree:
             raise DocumentError(f'tree document vertex #{i}: "id" must be a string')
         if par is not None and not isinstance(par, str):
             raise DocumentError(f"tree document vertex '{vid}': \"parent\" must be a string or null")
+        if len(entry) != 2:
+            document_keys(entry, ("id", "parent"), f"tree document vertex '{vid}'")
         if vid in seen:
             raise DocumentError(f"duplicate vertex id '{vid}'")
         seen[vid] = i

@@ -16,7 +16,7 @@ from .compop import (OperatorSpec, apply, compactness_profile, isometry_check,
                      operator_norm, ratio_sup, tail_defect)
 from .instances import (_P_CHOICES, random_bary_tree, random_function, random_injective_spec,
                         random_multiplicity_spec, random_nonidentity_permutation_map,
-                        random_unit_function, random_weight)
+                        random_unit_functions, random_weight)
 from .lpspace import basis_vector, norm_p, point_eval_norm, project
 from .schatten import hs_norm, schatten_sum, singular_values_analytic, trace_diagonal
 from .selfmap import adversary_unbounded, adversary_vanishing, analyze
@@ -49,29 +49,28 @@ def suite_lpspace(seed: int) -> dict:
         tree = random_bary_tree(rng, max_vertices=200)
         weight = random_weight(rng, tree)
         for p in _P_CHOICES:
-            for v in rng.integers(0, len(tree), size=6):
-                f = basis_vector(weight, int(v), p)
-                rec.check(abs(norm_p(f, weight, p) - 1.0) <= 1e-12,
+            vs = rng.integers(0, len(tree), size=6)
+            norms = norm_p([basis_vector(weight, int(v), p) for v in vs], weight, p)
+            for v, nrm in zip(vs, norms):
+                rec.check(abs(nrm - 1.0) <= 1e-12,
                           f"normalized indicator of vertex {v} has p-norm != 1 (p={p})")
         for _ in range(8):
             p = _P_CHOICES[int(rng.integers(len(_P_CHOICES)))]
             f = random_function(rng, tree)
             g = random_function(rng, tree)
-            nf, ng = norm_p(f, weight, p), norm_p(g, weight, p)
-            rec.check(norm_p(f + g, weight, p) <= nf + ng + 1e-10,
-                      f"triangle inequality failed (p={p})")
             c = float(rng.uniform(0.1, 5.0))
-            rec.check(abs(norm_p(c * f, weight, p) - c * nf) <= 1e-10 * max(1.0, c * nf),
-                      f"absolute homogeneity failed (p={p})")
             v = int(rng.integers(len(tree)))
+            n = int(rng.integers(0, tree.truncation_depth + 1))
+            head = project(tree, f, n)
+            nf, ng, nfg, ncf, nhead, ntail = norm_p([f, g, f + g, c * f, head, f - head], weight, p)
+            rec.check(nfg <= nf + ng + 1e-10, f"triangle inequality failed (p={p})")
+            rec.check(abs(ncf - c * nf) <= 1e-10 * max(1.0, c * nf),
+                      f"absolute homogeneity failed (p={p})")
             bound = point_eval_norm(weight, v, p) * nf
             rec.check(abs(f[v]) <= bound * (1.0 + 1e-10) + 1e-12,
                       f"point evaluation bound failed at vertex {v} (p={p})")
-            n = int(rng.integers(0, tree.truncation_depth + 1))
-            head = project(tree, f, n)
-            rec.check(norm_p(head, weight, p) <= nf * (1.0 + 1e-12),
-                      "truncation projection is not a contraction")
-            rec.check(norm_p(f - head, weight, p) <= nf * (1.0 + 1e-12),
+            rec.check(nhead <= nf * (1.0 + 1e-12), "truncation projection is not a contraction")
+            rec.check(ntail <= nf * (1.0 + 1e-12),
                       "complement of the truncation projection is not a contraction")
             rec.check(bool(np.array_equal(project(tree, head, n), head)),
                       "truncation projection is not idempotent")
@@ -124,10 +123,8 @@ def suite_isometry(seed: int) -> dict:
         verdict = isometry_check(op)
         rec.check(verdict.is_isometry,
                   "constant weight + vertex-set bijection must be an isometry", op)
-        for _ in range(20):
-            f = random_unit_function(rng, weight, p)
-            rec.check(abs(norm_p(apply(op, f), weight, p) - 1.0) <= 1e-9,
-                      "an isometry moved the norm of a unit function", op)
+        for nrm in norm_p(apply(op, random_unit_functions(rng, weight, p, 20)), weight, p):
+            rec.check(abs(nrm - 1.0) <= 1e-9, "an isometry moved the norm of a unit function", op)
 
         # one weight entry nudged at a non-fixed vertex must flip the verdict
         moved = int(np.flatnonzero(symbol.image != np.arange(len(tree)))[0])

@@ -27,7 +27,7 @@ from spectree.compop import TREND_UNBOUNDED, VERDICT_COMPACT, VERDICT_NOT_COMPAC
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
                                 random_function, random_multiplicity_spec,
                                 random_nonidentity_permutation_map,
-                                random_permutation_map, random_unit_function,
+                                random_permutation_map, random_unit_functions,
                                 random_weight, structured_specs)
 
 P_CYCLE = (1.0, 1.5, 2.0, 3.0)
@@ -137,8 +137,7 @@ def test_a06_isometry_verdicts():
         p = P_CYCLE[i % 4]
         spec = OperatorSpec(tree, weight, symbol, p)
         assert isometry_check(spec).is_isometry
-        for _ in range(10):
-            f = random_unit_function(rng, weight, p)
+        for f in random_unit_functions(rng, weight, p, 10):
             assert abs(norm_p(apply(spec, f), weight, p) - 1.0) <= 1e-9
             unit_checks += 1
 

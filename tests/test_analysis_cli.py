@@ -449,12 +449,16 @@ def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
     ({"tree": {"file": "tree.json", "branching": 2}}, "branching"),
     ({"weight": {"file": "weight.json", "family": "constant", "params": {"value": 3}}}, "family"),
     ({"map": {"file": "map.json", "builtin": "parent"}}, "builtin"),
-], ids=["spec", "oracle", "tolerances", "generated_tree", "file_tree", "file_weight", "file_map"])
+    ({"tree": {"file": "colour_tree.json"}}, "colour"),
+], ids=["spec", "oracle", "tolerances", "generated_tree", "file_tree", "file_weight", "file_map",
+        "tree_vertex"])
 def test_unknown_spec_keys_are_refused(tmp_path, capsys, overrides, key):
     # a "file" source holds nothing else: its inline keys would be echoed, not read
     tree = build_bary(2, 2)
+    colour_tree = dump_tree(tree)
+    colour_tree["vertices"][1]["colour"] = "red"
     for name, doc in [("tree.json", dump_tree(tree)), ("weight.json", {"family": "reciprocal_depth"}),
-                      ("map.json", {"builtin": "parent"})]:
+                      ("map.json", {"builtin": "parent"}), ("colour_tree.json", colour_tree)]:
         (tmp_path / name).write_text(json.dumps(doc), encoding="utf-8")
     assert main(["analyze", write_spec(tmp_path, base_doc(depth_ladder=[1, 2]))]) == 0
     capsys.readouterr()

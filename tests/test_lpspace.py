@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spectree import (basis_vector, build_bary, constant_weight, custom_weight, inner,
-                      norm_p, point_eval_norm, project, validate_exponent)
+from spectree import (OperatorSpec, apply, basis_vector, build_bary, constant_weight,
+                      custom_weight, depth_square_map, identity_map, inner, level_shift_map,
+                      norm_p, parent_map, point_eval_norm, project, validate_exponent)
 from spectree.instances import random_function
 
 P_GRID = (1.0, 1.5, 2.0, 3.0)
@@ -161,3 +162,39 @@ def test_shape_mismatch_rejected():
         norm_p(np.ones(5), w, 2.0)
     with pytest.raises(ValueError):
         project(t, np.ones(5), 1)
+
+
+_SYMBOLS = (identity_map, parent_map, lambda t: level_shift_map(t, 1), depth_square_map)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 6), st.sampled_from(P_GRID), st.integers(0, 2 ** 31 - 1),
+       st.lists(st.booleans(), min_size=1, max_size=6), st.integers(0, len(_SYMBOLS) - 1))
+def test_stacked_norm_and_apply_equal_their_rows_bit_for_bit(branching, depth, p, seed, zero_rows,
+                                                             symbol):
+    tree = build_bary(branching, depth)
+    n = len(tree)
+    rng = np.random.default_rng(seed)
+    weight = custom_weight(tree, rng.uniform(0.01, 100.0, n))
+    stack = rng.standard_normal((len(zero_rows), n)) + 1j * rng.standard_normal((len(zero_rows), n))
+    stack[zero_rows] = 0.0
+    norms = norm_p(stack, weight, p)
+    assert norms.shape == (len(zero_rows),)
+    assert norms.tolist() == [norm_p(row, weight, p) for row in stack]
+    spec = OperatorSpec(tree, weight, _SYMBOLS[symbol](tree), p)
+    images = apply(spec, stack)
+    assert np.array_equal(images, [apply(spec, row) for row in stack])
+    assert norm_p(images, weight, p).tolist() == [norm_p(apply(spec, row), weight, p) for row in stack]
+
+
+def test_inner_and_project_refuse_a_stack():
+    w = small_weight(12)
+    stack = np.ones((3, len(w.tree)), dtype=complex)
+    with pytest.raises(ValueError, match="one value per vertex"):
+        inner(stack, stack, w)
+    with pytest.raises(ValueError, match="one value per vertex"):
+        inner(stack[0], stack, w)
+    with pytest.raises(ValueError, match="one value per vertex"):
+        project(w.tree, stack, 1)
+    with pytest.raises(ValueError, match="one value per vertex"):
+        norm_p(stack[None], w, 2.0)  # a stack of stacks

@@ -1,17 +1,21 @@
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spectree import (OperatorSpec, build_bary, compactness_profile, constant_weight,
-                      custom_weight, frobenius_norm,
+from spectree import (OperatorSpec, basis_vector, build_bary, compactness_profile,
+                      constant_weight, custom_weight, frobenius_norm,
                       geometric_weight, identity_map, jacobi_eigenvalues,
-                      matrix_of, norm_search, operator_norm, parent_map,
+                      matrix_of, norm_p, norm_search, operator_norm, parent_map,
                       preimage_ratio, reciprocal_depth_weight,
                       singular_values_analytic, svd_values, tail_defect)
+from spectree import lpspace
+from spectree import oracle as oracle_mod
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
-                                random_injective_spec, random_permutation_map,
-                                random_weight)
+                                random_injective_spec, random_multiplicity_spec,
+                                random_permutation_map, random_weight)
 
 
 def spec2(tree, weight, symbol):
@@ -206,3 +210,80 @@ def test_norm_search_is_deterministic_per_seed():
     a = norm_search(spec, samples=12, seed=42)
     b = norm_search(spec, samples=12, seed=42)
     assert a == b
+
+
+def reference_norm_search(spec: OperatorSpec, samples: int = 64, seed: int = 0) -> float:
+    """norm_search as it was, one vector per norm_p call."""
+    samples = int(samples)
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    n = len(spec.tree)
+    dom = spec.symbol.domain_index
+    img = spec.symbol.image[dom]
+
+    def image_norm(f: np.ndarray) -> float:
+        g = np.zeros(n, dtype=np.complex128)
+        g[dom] = f[img]
+        return norm_p(g, spec.weight, spec.p)
+
+    best = 0.0
+    for v in range(n):
+        best = max(best, image_norm(basis_vector(spec.weight, v, spec.p)))
+    rng = np.random.default_rng(seed)
+    for _ in range(samples):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        nz = norm_p(z, spec.weight, spec.p)
+        if nz == 0.0:
+            continue
+        best = max(best, image_norm(z / nz))
+    return float(best)
+
+
+def search_specs():
+    rng = np.random.default_rng(31)
+    specs = [random_injective_spec(rng) for _ in range(6)]
+    specs += [random_multiplicity_spec(rng, mult) for mult in (2, 3, 4, 2, 3, 4)]
+    tree = build_bary(3, 6)  # 1,093 vertices: more than one block of indicator rows
+    specs += [OperatorSpec(tree, random_weight(rng, tree), symbol, p)
+              for symbol, p in ((parent_map(tree), 1.5), (random_permutation_map(rng, tree), 3.0))]
+    return specs
+
+
+def test_norm_search_equals_the_one_vector_loop():
+    for i, spec in enumerate(search_specs()):
+        for samples in (1, 2, 17, 70):
+            assert norm_search(spec, samples, seed=i) == reference_norm_search(spec, samples, seed=i)
+
+
+def test_norm_search_evaluates_the_same_vectors(monkeypatch):
+    # every vector handed to norm_p is recorded by its bits: a sample drawn,
+    # scaled or mapped differently, or a block row dropped or shifted, shows
+    seen = []
+
+    def recorded(f, weight, p):
+        seen.extend(row.tobytes() for row in np.reshape(f, (-1, len(weight.tree))))
+        return lpspace.norm_p(f, weight, p)
+
+    for module in (oracle_mod, sys.modules[__name__]):
+        monkeypatch.setattr(module, "norm_p", recorded)
+    for i, spec in enumerate(search_specs()):
+        for samples in (1, 3, 70):
+            found = norm_search(spec, samples, seed=i)
+            batched, seen[:] = sorted(seen), []
+            assert found == reference_norm_search(spec, samples, seed=i)
+            assert batched == sorted(seen)
+            assert len(seen) == len(spec.tree) + 2 * samples
+            seen.clear()
+
+
+def test_norm_search_memory_is_bounded_by_its_block():
+    tree = build_bary(3, 5)  # 364 vertices
+    spec = OperatorSpec(tree, random_weight(np.random.default_rng(4), tree), parent_map(tree), 2.0)
+    tracemalloc.start()
+    try:
+        norm_search(spec, samples=20_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # 20,000 samples of 364 complex entries drawn at once would take 116 MB
+    assert peak < 8 * 2 ** 20

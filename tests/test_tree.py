@@ -135,6 +135,10 @@ def test_load_rejects_multiple_roots_and_unknown_parent():
     with pytest.raises(DocumentError, match="duplicate"):
         load_tree({"vertices": [{"id": "r", "parent": None},
                                 {"id": "r", "parent": "r"}]})
+    with pytest.raises(DocumentError, match="tree document vertex 'a' has unknown key 'colour'; "
+                                            "allowed keys: id, parent"):
+        load_tree({"vertices": [{"id": "r", "parent": None},
+                                {"id": "a", "parent": "r", "colour": "red"}]})
 
 
 def test_root_is_reordered_first():
