@@ -24,8 +24,9 @@ from .compop import (VERDICT_COMPACT, ClassView, LevelClassSpec, OperatorSpec,
 from .errors import DocumentError
 from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_value_classes,
                        trace_diagonal)
-from .selfmap import (SelfMap, adversary_unbounded, adversary_vanishing, dump_map,
-                      level_classes, load_map, parse_builtin)
+from .selfmap import (SelfMap, _MapTable, _name_columns, _weight_orders,
+                      adversary_unbounded, adversary_vanishing, dump_map, level_classes,
+                      load_map, parse_builtin)
 from .tree import (Tree, bary_level_start, build_bary, document_int, document_keys,
                    document_real, dump_tree, load_tree, truncate)
 from .weight import Weight, dump_weight, family_levels, load_weight, parse_family
@@ -58,6 +59,7 @@ def report_json(report: Mapping, out: TextIO | None = None) -> str:
 
 _CONTAINERS = (dict, list, tuple)
 _PIECE = 1 << 16  # characters of a table body per piece
+_ROWS = 1 << 11  # rows of a map table per piece
 
 
 def _indented(value, outer: str) -> Iterator[str]:
@@ -70,7 +72,15 @@ def _indented(value, outer: str) -> Iterator[str]:
         return
     is_dict, pad = isinstance(value, dict), outer + "  "
     opening, closing = "{}" if is_dict else "[]"
-    if any(issubclass(kind, _CONTAINERS) for kind in set(map(type, value.values() if is_dict else value))):
+    if type(value) is _MapTable:  # names encoded once per tree, rows a slice at a time
+        yield f"{opening}\n{pad}"
+        rows, end = [None, ": ", None, ",\n" + pad] * _ROWS, len(value)
+        for lo in range(0, end, _ROWS):
+            piece = rows[:4 * min(_ROWS, end - lo)]
+            piece[::4], piece[2::4] = (value.column[ids[lo:lo + _ROWS]].tolist()
+                                       for ids in (value.ids, value.targets))
+            yield "".join(piece[:-1] if lo + _ROWS >= end else piece)
+    elif any(issubclass(kind, _CONTAINERS) for kind in set(map(type, value.values() if is_dict else value))):
         for i, (key, member) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
             yield f"{',' if i else opening}\n{pad}" + (f"{json.dumps(key)}: " if is_dict else "")
             yield from _indented(member, pad)
@@ -479,18 +489,23 @@ def spectrum_csv(values: np.ndarray, multiplicities: np.ndarray,
 
 def run_adversary(spec: AnalysisSpec) -> dict:
     """Construct the weight-spread witnesses on each ladder depth and report
-    the ratio supremum they achieve."""
+    the ratio supremum they achieve. The sorts and the names' JSON text are
+    formed once, on the source; each entry, an id prefix, restricts them."""
     source, source_weight = _sources(spec)[:2]  # the map is validated, then dropped
+    columns = _name_columns(source)
+    sorts = (*_weight_orders(source_weight.values), source.name_order)
     ladders: dict[str, list] = {"unbounded_weight": [], "vanishing_weight": []}
     for depth in spec.depth_ladder:
         tree, weight = _entry(source, source_weight, depth)
+        heavy, light, by_name = (order[order < len(tree)] for order in sorts)
         for key, build in zip(ladders, (adversary_unbounded, adversary_vanishing)):
-            symbol = build(tree, weight)
+            symbol = build(tree, weight, orders=(heavy, light))
             found = symbol is not None
             op = OperatorSpec(tree, weight, symbol, spec.p) if found else None
             ladders[key].append({"depth": depth, "found": found,
                                  "ratio_sup": real_str(ratio_sup(op).value) if found else None,
-                                 "map": dump_map(symbol) if found else None})
+                                 "map": {"map": _MapTable(symbol.image, by_name, *columns)}
+                                 if found else None})
     report = _report_head("adversary", spec)
     for key, ladder in ladders.items():
         verdict = "adversary found" if any(e["found"] for e in ladder) else "no adversary found"

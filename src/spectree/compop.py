@@ -20,7 +20,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -224,12 +224,17 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 
 
 _SUM_CHUNK = 1 << 16
+_LOOP_TERMS = 384  # up to this many terms, Python's adds beat numpy's per-call cost
 
 
 def _sequential_sum(values: np.ndarray, reps: np.ndarray) -> float:
     """0.0 + values[0] + ... + values[-1], added left to right with each
     ``values[j]`` taken ``reps[j]`` times in turn: the sum ``np.bincount``
-    forms, bit for bit. The terms are formed a bounded chunk at a time."""
+    forms, bit for bit. Few terms are added one by one in Python (not by
+    ``sum()``, which compensates from 3.12), more a bounded chunk at a time."""
+    if sum(counts := reps.tolist()) <= _LOOP_TERMS:
+        terms = [value for value, count in zip(values.tolist(), counts) for _ in range(count)]
+        return reduce(float.__add__, terms, 0.0)
     ends = np.cumsum(reps)
     total = 0.0
     for lo in range(0, int(ends[-1]), _SUM_CHUNK):

@@ -27,7 +27,7 @@ MAX_ORACLE_VERTICES = 4096  # ceiling on a document's oracle.max_vertices
 
 _JACOBI_REL_TOL = 1e-14  # jacobi_eigenvalues' stopping rule
 _JACOBI_MAX_SWEEPS = 100
-_SEARCH_BLOCK = 1 << 16  # complex entries per stack that norm_search evaluates
+_SEARCH_BLOCK = 1 << 13  # complex entries per stack that norm_search evaluates
 
 
 def matrix_of(spec: OperatorSpec) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -262,19 +263,40 @@ def dump_map(symbol: SelfMap) -> dict:
         return doc
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
-    # rows in name order: writers sort the keys, and sorted input sorts fastest
-    order = symbol.tree.name_order
-    column = np.array(symbol.tree.vertex_names(), dtype=object)
-    return {"map": dict(zip(column[order].tolist(), column[symbol.image[order]].tolist()))}
+    return {"map": _MapTable(symbol.image, symbol.tree.name_order, *_name_columns(symbol.tree))}
 
 
-def _swap_prefix(tree: Tree, weight: Weight, admissible, label: str) -> SelfMap | None:
+def _name_columns(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
+    """The names of ``tree``'s vertices and their text in ``json.dumps``, by id."""
+    names = np.array(tree.vertex_names(), dtype=object)
+    return names, np.fromiter(map(encode_basestring_ascii, names), dtype=object, count=len(names))
+
+
+class _MapTable(dict):
+    """The read-only table of the total symbol ``image``, rows in the name
+    ``order`` (writers sort the keys, and sorted input sorts fastest).
+    ``column`` holds each of ``names`` as ``json.dumps`` writes it, so the
+    rows are written without encoding a name again; both may be those of a
+    tree that this one is an id prefix of."""
+
+    def __init__(self, image: np.ndarray, order: np.ndarray, names: np.ndarray,
+                 column: np.ndarray):
+        self.ids, self.targets, self.column = order, image[order], column
+        super().__init__(zip(names[order].tolist(), names[self.targets].tolist()))
+
+
+def _weight_orders(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The vertices heaviest and lightest first, ties by id; an id prefix's are ``order[order < n]``."""
+    return np.argsort(-values, kind="stable"), np.argsort(values, kind="stable")
+
+
+def _swap_prefix(tree: Tree, weight: Weight, orders, admissible, label: str) -> SelfMap | None:
     # swap the i-th heaviest and i-th lightest vertex (ties by id) for each i
     # before the first inadmissible pair. Admissible pairs have lt < ls, so
     # their vertices are all distinct and the map is a permutation; the last
     # pair (lightest, heaviest) never is, so argmin finds a False.
     lam = weight.values
-    heavy, light = np.argsort(-lam, kind="stable"), np.argsort(lam, kind="stable")
+    heavy, light = orders or _weight_orders(lam)
     with np.errstate(over="ignore"):  # a square past the float range is inf and compares right
         k = int(np.argmin(admissible(lam[heavy], lam[light])))
     if k == 0:
@@ -285,24 +307,25 @@ def _swap_prefix(tree: Tree, weight: Weight, admissible, label: str) -> SelfMap 
     return SelfMap(tree, image, label=label, params={"pair_count": k})
 
 
-def adversary_unbounded(tree: Tree, weight: Weight) -> SelfMap | None:
+def adversary_unbounded(tree: Tree, weight: Weight, *, orders=None) -> SelfMap | None:
     """Injective symbol witnessing an unbounded weight: it swaps the i-th
     heaviest with the i-th lightest, up to the first inadmissible pair, where
     heavy s and light t are admissible when weight(s) > weight(t)**2 and
     weight(s) > weight(t). Returns None when no pair shows genuine spread
     (then every candidate ratio is at most 1, no better than the identity).
+    ``orders``, if known, is the vertices heaviest and lightest first, ties by id.
     """
-    return _swap_prefix(tree, weight, lambda ls, lt: (lt * lt < ls) & (lt < ls),
+    return _swap_prefix(tree, weight, orders, lambda ls, lt: (lt * lt < ls) & (lt < ls),
                         "adversary_unbounded")
 
 
-def adversary_vanishing(tree: Tree, weight: Weight) -> SelfMap | None:
+def adversary_vanishing(tree: Tree, weight: Weight, *, orders=None) -> SelfMap | None:
     """Injective symbol witnessing a weight not bounded away from zero, dual
     to :func:`adversary_unbounded`: it swaps the i-th heaviest with the i-th
     lightest, up to the first inadmissible pair, where light u and heavy v
     are admissible when weight(u) < weight(v)**2 and weight(u) < weight(v),
     so each ratio weight(v)/weight(u) exceeds 1/weight(v). Returns None when
-    no such pair exists.
+    no such pair exists. ``orders`` is as for :func:`adversary_unbounded`.
     """
-    return _swap_prefix(tree, weight, lambda ls, lt: (lt < ls * ls) & (lt < ls),
+    return _swap_prefix(tree, weight, orders, lambda ls, lt: (lt < ls * ls) & (lt < ls),
                         "adversary_vanishing")

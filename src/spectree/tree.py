@@ -14,6 +14,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -229,21 +231,20 @@ def load_tree(document: Mapping) -> Tree:
     if not isinstance(entries, Sequence) or isinstance(entries, (str, bytes)) or not entries:
         raise DocumentError('tree document field "vertices" must be a non-empty array')
 
+    if fast := _parents(entries):  # any other document takes the loop, which names its fault
+        return _assemble(fast[1], names=tuple(fast[0]))
     ids: list[str] = []
     parents: list[str | None] = []
     seen: dict[str, int] = {}
     for i, entry in enumerate(entries):
-        # the exact-type test spares JSON objects the slow ABC check
-        if (type(entry) is not dict and not isinstance(entry, Mapping)
-                or "id" not in entry or "parent" not in entry):
+        if not isinstance(entry, Mapping) or "id" not in entry or "parent" not in entry:
             raise DocumentError(f'tree document vertex #{i} must carry "id" and "parent" fields')
         vid, par = entry["id"], entry["parent"]
         if not isinstance(vid, str):
             raise DocumentError(f'tree document vertex #{i}: "id" must be a string')
         if par is not None and not isinstance(par, str):
             raise DocumentError(f"tree document vertex '{vid}': \"parent\" must be a string or null")
-        if len(entry) != 2:
-            document_keys(entry, ("id", "parent"), f"tree document vertex '{vid}'")
+        document_keys(entry, ("id", "parent"), f"tree document vertex '{vid}'")
         if vid in seen:
             raise DocumentError(f"duplicate vertex id '{vid}'")
         seen[vid] = i
@@ -264,6 +265,22 @@ def load_tree(document: Mapping) -> Tree:
     return _assemble(parent, names=tuple(ids))
 
 
+def _parents(entries: Sequence) -> tuple[list[str], np.ndarray] | None:
+    """The ids and parent ids of a valid vertex list by C-level passes, else None."""
+    if set(map(type, entries)) != {dict} or set(map(len, entries)) != {2}:
+        return None
+    try:
+        ids, parents = (list(map(itemgetter(key), entries)) for key in ("id", "parent"))
+    except KeyError:
+        return None
+    seen = dict(zip(ids, range(len(ids)))) if set(map(type, ids)) == {str} else {}
+    if (len(seen) < len(ids) or not set(map(type, parents)) <= {str, type(None)}
+            or parents.count(None) != 1):
+        return None
+    parent = np.fromiter(map(seen.get, parents, repeat(-1)), np.int64, len(parents))
+    return (ids, parent) if np.count_nonzero(parent < 0) == 1 else None
+
+
 def dump_tree(tree: Tree) -> dict:
     """Serialize to the document format accepted by :func:`load_tree`."""
     names = tree.vertex_names()
@@ -280,7 +297,7 @@ def table_values(tree: Tree, document: Mapping, what: str, field: str) -> list:
         raise DocumentError(f'{what} document field "{field}" must be an object')
     names = tree.vertex_names()
     try:  # one lookup per vertex when the table is right
-        values = [table[name] for name in names]
+        values = list(map(table.__getitem__, names))
         if len(table) == len(names):
             return values
     except KeyError:

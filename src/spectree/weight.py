@@ -129,9 +129,10 @@ def load_weight(tree: Tree, document: Mapping) -> Weight:
     if "weights" in document:
         document_keys(document, ("weights",), "weight document")
         raw = table_values(tree, document, "weight", "weights")
-        for v, value in enumerate(raw):
-            if type(value) is not float:  # floats, most of a JSON table, need no check
-                document_real(value, f"weight at vertex '{tree.name_of(v)}'")
+        if set(map(type, raw)) != {float}:  # floats, a JSON table's values, need no check
+            for v, value in enumerate(raw):
+                if type(value) is not float:
+                    document_real(value, f"weight at vertex '{tree.name_of(v)}'")
         return _validated(tree, np.array(raw, dtype=np.float64), "custom", None)
     raise DocumentError('weight document needs a "family" or a "weights" field')
 

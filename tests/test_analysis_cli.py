@@ -1,11 +1,13 @@
 import json
 import math
+import tempfile
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectree import analysis, compop
@@ -16,6 +18,8 @@ from spectree.analysis import (_restrict, parse_analysis_spec, read_analysis_spe
                                report_json, run_adversary, run_analyze, run_spectrum,
                                spectrum_csv)
 from spectree.cli import main
+from spectree.selfmap import _MapTable
+from spectree.tree import Tree
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -672,3 +676,55 @@ def test_depth_square_is_checked_on_the_whole_file_tree(tmp_path, capsys):
     for command in ("analyze", "spectrum", "adversary"):
         assert main([command, path]) == 2
         assert "level 4 has 1 vertices but level 2 has 2" in capsys.readouterr().err
+
+
+def test_adversary_sorts_the_weight_and_the_names_once_per_ladder(monkeypatch, tmp_path):
+    spec = read_analysis_spec(write_spec(tmp_path, shuffled_tree_files(tmp_path)
+                                         | {"depth_ladder": [1, 3, 4]}))
+    weight_sorts, name_sorts = [], []
+    argsort, name_order = np.argsort, Tree.name_order
+
+    def counted_argsort(a, *args, **kwargs):
+        if np.asarray(a).dtype.kind == "f":  # not _assemble's sort of the parent ids
+            weight_sorts.append(len(a))
+        return argsort(a, *args, **kwargs)
+
+    def counted_name_order(tree):
+        name_sorts.append(len(tree))
+        return name_order.func(tree)
+
+    counted = cached_property(counted_name_order)
+    counted.__set_name__(Tree, "name_order")
+    monkeypatch.setattr(np, "argsort", counted_argsort)
+    monkeypatch.setattr(Tree, "name_order", counted)
+    report = run_adversary(spec)
+    assert [e["found"] for e in report["unbounded_weight"]["entries"]] == [True] * 3
+    assert weight_sorts == [31, 31] and name_sorts == [31]
+
+
+# names that json escapes, that are not ASCII or not valid UTF-8, and whose
+# code point order is not their id order
+_AWKWARD_NAMES = st.text(st.sampled_from(['"', "\\", "\x00", "\n", "é", "\U0001f333",
+                                          "\ud800", "a", "B", "1"]), max_size=3)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.data())
+def test_adversary_report_matches_indented_json_dumps(branching, depth, data):
+    tree = build_bary(branching, depth)
+    n = len(tree)
+    names = data.draw(st.lists(_AWKWARD_NAMES, min_size=n, max_size=n, unique=True))
+    weights = data.draw(st.lists(st.sampled_from([1e-3, 0.5, 1.0, 3.0]), min_size=n, max_size=n))
+    weights[0], weights[-1] = 1e3, 1e-3  # both adversaries are found at every depth
+    doc = base_doc(tree={"file": "tree.json"}, map={"builtin": "identity"},
+                   weight={"weights": dict(zip(names, weights))},
+                   depth_ladder=list(range(1, depth + 1)))
+    with tempfile.TemporaryDirectory() as tmp:
+        write_doc(Path(tmp), "tree.json", {"vertices": [
+            {"id": names[v], "parent": names[p] if p >= 0 else None}
+            for v, p in enumerate(tree.parent.tolist())]})
+        report = run_adversary(read_analysis_spec(write_spec(Path(tmp), doc)))
+    tables = [e["map"]["map"] for key in ("unbounded_weight", "vanishing_weight")
+              for e in report[key]["entries"]]
+    assert len(tables) == 2 * depth and all(type(t) is _MapTable for t in tables)
+    assert report_json(report) == json.dumps(report, indent=2, sort_keys=True) + "\n"

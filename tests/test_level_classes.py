@@ -145,8 +145,25 @@ def test_sequential_sum_is_the_bincount_sum(values, reps):
                        weights=np.repeat(values, reps))[0]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(compop, "_SUM_CHUNK", 7)  # several chunks, and runs split across them
+        patch.setattr(compop, "_LOOP_TERMS", 0)  # so that these few terms take numpy
         assert compop._sequential_sum(values, reps) == want
     assert compop._sequential_sum(values, reps) == want
+
+
+@pytest.mark.parametrize("terms", [2, compop._LOOP_TERMS, compop._LOOP_TERMS + 1, 5000])
+def test_sequential_sum_is_the_bincount_sum_on_both_sides_of_the_loop_bound(terms):
+    rng = np.random.default_rng(terms)
+    specials = [1e308, 5e-324, 1.0, 2.0 ** -52, 0.1]
+    for _ in range(200):
+        runs = int(rng.integers(1, min(terms, 8) + 1))
+        reps = np.diff(np.sort(np.append(rng.choice(np.arange(1, terms), runs - 1, replace=False),
+                                         [0, terms])))
+        values = np.where(rng.random(runs) < 0.3, rng.choice(specials, runs),
+                          10.0 ** rng.uniform(-300, 300, runs))
+        want = np.bincount(np.zeros(terms, dtype=np.int64), weights=np.repeat(values, reps))[0]
+        assert compop._sequential_sum(values, reps) == want, (values, reps)
+    # overflow to inf, as bincount's sum does, without a warning
+    assert compop._sequential_sum(np.array([1e308]), np.array([terms])) == math.inf
 
 
 SPECTRUM_MAPS = [{"builtin": "identity"}, {"builtin": "parent"},

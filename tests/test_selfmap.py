@@ -10,8 +10,9 @@ from spectree import (DocumentError, OperatorSpec, SelfMap, adversary_unbounded,
                       adversary_vanishing, analyze, build_bary, constant_weight,
                       custom_weight, depth_square_map, dump_map, geometric_weight,
                       identity_map, isometry_check, level_shift_map, load_map,
-                      load_tree, parent_map, reciprocal_depth_weight,
+                      load_tree, parent_map, reciprocal_depth_weight, truncate,
                       vertices_at_level)
+from spectree.selfmap import _weight_orders
 from spectree.tree import VERTEX_DTYPE
 
 
@@ -381,3 +382,27 @@ def test_domain_is_a_read_only_vertex_id_array():
     assert np.array_equal(partial.domain, np.arange(t.level_start[3]))  # depths 0..isqrt(4)
     # gathers on the domain index a total symbol by a slice, not by the int32 ids
     assert total.domain_index == slice(None) and partial.domain_index is partial.domain
+
+
+@given(st.integers(1, 3), st.integers(0, 4), st.data())
+def test_sorts_of_a_prefix_are_the_source_sorts_restricted(branching, depth, data):
+    # weights from three values, so most of them tie and the ties go by id
+    tree = build_bary(branching, depth)
+    n = len(tree)
+    names = data.draw(st.lists(st.text(max_size=3), min_size=n, max_size=n, unique=True))
+    tree = load_tree({"vertices": [{"id": names[v], "parent": names[p] if p >= 0 else None}
+                                   for v, p in enumerate(tree.parent.tolist())]})
+    w = custom_weight(tree, data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                               min_size=n, max_size=n)))
+    orders = _weight_orders(w.values)
+    for d in range(depth + 1):
+        sub = truncate(tree, d)
+        m, sub_weight = len(sub), custom_weight(sub, w.values[:len(sub)])
+        restricted = tuple(order[order < m] for order in orders)
+        for whole, own in zip(restricted + (tree.name_order[tree.name_order < m],),
+                              _weight_orders(sub_weight.values) + (sub.name_order,)):
+            assert np.array_equal(whole, own)
+        for build in (adversary_unbounded, adversary_vanishing):
+            got, want = build(sub, sub_weight, orders=restricted), build(sub, sub_weight)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got.image, want.image)
