@@ -24,9 +24,8 @@ from .compop import (VERDICT_COMPACT, ClassView, LevelClassSpec, OperatorSpec,
 from .errors import DocumentError
 from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_value_classes,
                        trace_diagonal)
-from .selfmap import (SelfMap, _MapTable, _name_columns, _weight_orders,
-                      adversary_unbounded, adversary_vanishing, dump_map, level_classes,
-                      load_map, parse_builtin)
+from .selfmap import (_ADMISSIBLE, SelfMap, _MapTable, _name_columns, _swap_prefix,
+                      _weight_orders, dump_map, level_classes, load_map, parse_builtin)
 from .tree import (Tree, bary_level_start, build_bary, document_int, document_keys,
                    document_real, dump_tree, load_tree, truncate)
 from .weight import Weight, dump_weight, family_levels, load_weight, parse_family
@@ -73,13 +72,11 @@ def _indented(value, outer: str) -> Iterator[str]:
     is_dict, pad = isinstance(value, dict), outer + "  "
     opening, closing = "{}" if is_dict else "[]"
     if type(value) is _MapTable:  # names encoded once per tree, rows a slice at a time
-        yield f"{opening}\n{pad}"
-        rows, end = [None, ": ", None, ",\n" + pad] * _ROWS, len(value)
-        for lo in range(0, end, _ROWS):
-            piece = rows[:4 * min(_ROWS, end - lo)]
-            piece[::4], piece[2::4] = (value.column[ids[lo:lo + _ROWS]].tolist()
-                                       for ids in (value.ids, value.targets))
-            yield "".join(piece[:-1] if lo + _ROWS >= end else piece)
+        for lo in range(0, len(value), _ROWS):
+            piece = [",\n" + pad, None, ": ", None] * min(_ROWS, len(value) - lo)
+            piece[1::4], piece[3::4] = (value.column[ids[lo:lo + _ROWS]].tolist()
+                                        for ids in (value.ids, value.targets))
+            yield "".join(piece) if lo else f"{opening}\n{pad}" + "".join(piece[1:])
     elif any(issubclass(kind, _CONTAINERS) for kind in set(map(type, value.values() if is_dict else value))):
         for i, (key, member) in enumerate(sorted(value.items()) if is_dict else enumerate(value)):
             yield f"{',' if i else opening}\n{pad}" + (f"{json.dumps(key)}: " if is_dict else "")
@@ -489,23 +486,23 @@ def spectrum_csv(values: np.ndarray, multiplicities: np.ndarray,
 
 def run_adversary(spec: AnalysisSpec) -> dict:
     """Construct the weight-spread witnesses on each ladder depth and report
-    the ratio supremum they achieve. The sorts and the names' JSON text are
-    formed once, on the source; each entry, an id prefix, restricts them."""
-    source, source_weight = _sources(spec)[:2]  # the map is validated, then dropped
-    columns = _name_columns(source)
-    sorts = (*_weight_orders(source_weight.values), source.name_order)
+    the ratio supremum they achieve. The deepest entry's weight is sorted once,
+    and its names once, at the first witness; each entry restricts them."""
+    deep, deep_weight = _entry(*_sources(spec)[:2], spec.depth_ladder[-1])  # the map is dropped
+    orders, named = _weight_orders(deep_weight.values), None
     ladders: dict[str, list] = {"unbounded_weight": [], "vanishing_weight": []}
     for depth in spec.depth_ladder:
-        tree, weight = _entry(source, source_weight, depth)
-        heavy, light, by_name = (order[order < len(tree)] for order in sorts)
-        for key, build in zip(ladders, (adversary_unbounded, adversary_vanishing)):
-            symbol = build(tree, weight, orders=(heavy, light))
+        tree, weight = _entry(deep, deep_weight, depth)
+        heavy_light = tuple(order[order < len(tree)] for order in orders)
+        for key, label in zip(ladders, _ADMISSIBLE):
+            symbol = _swap_prefix(tree, weight, heavy_light, label)
             found = symbol is not None
+            if found and named is None:
+                named = _name_columns(deep)
             op = OperatorSpec(tree, weight, symbol, spec.p) if found else None
             ladders[key].append({"depth": depth, "found": found,
                                  "ratio_sup": real_str(ratio_sup(op).value) if found else None,
-                                 "map": {"map": _MapTable(symbol.image, by_name, *columns)}
-                                 if found else None})
+                                 "map": {"map": _MapTable(symbol.image, *named)} if found else None})
     report = _report_head("adversary", spec)
     for key, ladder in ladders.items():
         verdict = "adversary found" if any(e["found"] for e in ladder) else "no adversary found"

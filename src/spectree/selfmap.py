@@ -263,26 +263,36 @@ def dump_map(symbol: SelfMap) -> dict:
         return doc
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
-    return {"map": _MapTable(symbol.image, symbol.tree.name_order, *_name_columns(symbol.tree))}
+    return {"map": _MapTable(symbol.image, *_name_columns(symbol.tree))}
 
 
-def _name_columns(tree: Tree) -> tuple[np.ndarray, np.ndarray]:
-    """The names of ``tree``'s vertices and their text in ``json.dumps``, by id."""
+def _name_columns(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ids of ``tree`` in name order, then its names and their text in ``json.dumps`` by id."""
     names = np.array(tree.vertex_names(), dtype=object)
-    return names, np.fromiter(map(encode_basestring_ascii, names), dtype=object, count=len(names))
+    column = np.fromiter(map(encode_basestring_ascii, names), dtype=object, count=len(names))
+    return tree.name_order, names, column
 
 
 class _MapTable(dict):
     """The read-only table of the total symbol ``image``, rows in the name
     ``order`` (writers sort the keys, and sorted input sorts fastest).
     ``column`` holds each of ``names`` as ``json.dumps`` writes it, so the
-    rows are written without encoding a name again; both may be those of a
-    tree that this one is an id prefix of."""
+    rows are written without encoding a name again; all three may be those
+    of a tree that this one is an id prefix of."""
 
     def __init__(self, image: np.ndarray, order: np.ndarray, names: np.ndarray,
                  column: np.ndarray):
-        self.ids, self.targets, self.column = order, image[order], column
+        self.ids = order = order[order < len(image)]
+        self.targets, self.column = image[order], column
         super().__init__(zip(names[order].tolist(), names[self.targets].tolist()))
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a map table is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):  # a copy, which may be edited, is a plain dict
+        return dict, (dict(self),)
 
 
 def _weight_orders(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,15 +300,19 @@ def _weight_orders(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.argsort(-values, kind="stable"), np.argsort(values, kind="stable")
 
 
-def _swap_prefix(tree: Tree, weight: Weight, orders, admissible, label: str) -> SelfMap | None:
+# when the heaviest weights ls and the lightest lt of a pair are admissible
+_ADMISSIBLE = {"adversary_unbounded": lambda ls, lt: (lt * lt < ls) & (lt < ls),
+               "adversary_vanishing": lambda ls, lt: (lt < ls * ls) & (lt < ls)}
+
+
+def _swap_prefix(tree: Tree, weight: Weight, orders, label: str) -> SelfMap | None:
     # swap the i-th heaviest and i-th lightest vertex (ties by id) for each i
     # before the first inadmissible pair. Admissible pairs have lt < ls, so
     # their vertices are all distinct and the map is a permutation; the last
     # pair (lightest, heaviest) never is, so argmin finds a False.
-    lam = weight.values
-    heavy, light = orders or _weight_orders(lam)
+    lam, (heavy, light) = weight.values, orders
     with np.errstate(over="ignore"):  # a square past the float range is inf and compares right
-        k = int(np.argmin(admissible(lam[heavy], lam[light])))
+        k = int(np.argmin(_ADMISSIBLE[label](lam[heavy], lam[light])))
     if k == 0:
         return None
     image = np.arange(len(tree), dtype=VERTEX_DTYPE)
@@ -307,25 +321,22 @@ def _swap_prefix(tree: Tree, weight: Weight, orders, admissible, label: str) -> 
     return SelfMap(tree, image, label=label, params={"pair_count": k})
 
 
-def adversary_unbounded(tree: Tree, weight: Weight, *, orders=None) -> SelfMap | None:
+def adversary_unbounded(tree: Tree, weight: Weight) -> SelfMap | None:
     """Injective symbol witnessing an unbounded weight: it swaps the i-th
     heaviest with the i-th lightest, up to the first inadmissible pair, where
     heavy s and light t are admissible when weight(s) > weight(t)**2 and
     weight(s) > weight(t). Returns None when no pair shows genuine spread
     (then every candidate ratio is at most 1, no better than the identity).
-    ``orders``, if known, is the vertices heaviest and lightest first, ties by id.
     """
-    return _swap_prefix(tree, weight, orders, lambda ls, lt: (lt * lt < ls) & (lt < ls),
-                        "adversary_unbounded")
+    return _swap_prefix(tree, weight, _weight_orders(weight.values), "adversary_unbounded")
 
 
-def adversary_vanishing(tree: Tree, weight: Weight, *, orders=None) -> SelfMap | None:
+def adversary_vanishing(tree: Tree, weight: Weight) -> SelfMap | None:
     """Injective symbol witnessing a weight not bounded away from zero, dual
     to :func:`adversary_unbounded`: it swaps the i-th heaviest with the i-th
     lightest, up to the first inadmissible pair, where light u and heavy v
     are admissible when weight(u) < weight(v)**2 and weight(u) < weight(v),
     so each ratio weight(v)/weight(u) exceeds 1/weight(v). Returns None when
-    no such pair exists. ``orders`` is as for :func:`adversary_unbounded`.
+    no such pair exists.
     """
-    return _swap_prefix(tree, weight, orders, lambda ls, lt: (lt < ls * ls) & (lt < ls),
-                        "adversary_vanishing")
+    return _swap_prefix(tree, weight, _weight_orders(weight.values), "adversary_vanishing")

@@ -14,7 +14,6 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from operator import itemgetter
 from typing import Mapping, Sequence
 
@@ -269,16 +268,16 @@ def _parents(entries: Sequence) -> tuple[list[str], np.ndarray] | None:
     """The ids and parent ids of a valid vertex list by C-level passes, else None."""
     if set(map(type, entries)) != {dict} or set(map(len, entries)) != {2}:
         return None
-    try:
+    try:  # a KeyError is a missing field or an unknown parent
         ids, parents = (list(map(itemgetter(key), entries)) for key in ("id", "parent"))
+        seen = dict(zip(ids, range(len(ids)))) if set(map(type, ids)) == {str} else {}
+        if (len(seen) < len(ids) or not set(map(type, parents)) <= {str, type(None)}
+                or parents.count(None) != 1):
+            return None
+        seen[None] = -1
+        return ids, np.fromiter(map(seen.__getitem__, parents), np.int64, len(parents))
     except KeyError:
         return None
-    seen = dict(zip(ids, range(len(ids)))) if set(map(type, ids)) == {str} else {}
-    if (len(seen) < len(ids) or not set(map(type, parents)) <= {str, type(None)}
-            or parents.count(None) != 1):
-        return None
-    parent = np.fromiter(map(seen.get, parents, repeat(-1)), np.int64, len(parents))
-    return (ids, parent) if np.count_nonzero(parent < 0) == 1 else None
 
 
 def dump_tree(tree: Tree) -> dict:

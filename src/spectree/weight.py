@@ -131,8 +131,7 @@ def load_weight(tree: Tree, document: Mapping) -> Weight:
         raw = table_values(tree, document, "weight", "weights")
         if set(map(type, raw)) != {float}:  # floats, a JSON table's values, need no check
             for v, value in enumerate(raw):
-                if type(value) is not float:
-                    document_real(value, f"weight at vertex '{tree.name_of(v)}'")
+                document_real(value, f"weight at vertex '{tree.name_of(v)}'")
         return _validated(tree, np.array(raw, dtype=np.float64), "custom", None)
     raise DocumentError('weight document needs a "family" or a "weights" field')
 

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 import tempfile
 from fractions import Fraction
 from functools import cached_property
@@ -12,8 +14,8 @@ from hypothesis import strategies as st
 
 from spectree import analysis, compop
 from spectree import oracle as oracle_mod
-from spectree import (DocumentError, adversary_unbounded, basis_vector, build_bary, dump_map,
-                      dump_tree, load_map, load_tree, load_weight, norm_p, truncate)
+from spectree import (DocumentError, SelfMap, adversary_unbounded, basis_vector, build_bary,
+                      dump_map, dump_tree, load_map, load_tree, load_weight, norm_p, truncate)
 from spectree.analysis import (_restrict, parse_analysis_spec, read_analysis_spec, real_str,
                                report_json, run_adversary, run_analyze, run_spectrum,
                                spectrum_csv)
@@ -678,28 +680,69 @@ def test_depth_square_is_checked_on_the_whole_file_tree(tmp_path, capsys):
         assert "level 4 has 1 vertices but level 2 has 2" in capsys.readouterr().err
 
 
-def test_adversary_sorts_the_weight_and_the_names_once_per_ladder(monkeypatch, tmp_path):
-    spec = read_analysis_spec(write_spec(tmp_path, shuffled_tree_files(tmp_path)
-                                         | {"depth_ladder": [1, 3, 4]}))
-    weight_sorts, name_sorts = [], []
-    argsort, name_order = np.argsort, Tree.name_order
+def count_adversary_sorts(monkeypatch):
+    """Record the size of each weight argsort, name sort and name column
+    formed from here on; _assemble's sort of the parent ids is not counted."""
+    counts: dict[str, list] = {"weight": [], "name": [], "column": []}
+    argsort, name_order, columns = np.argsort, Tree.name_order, analysis._name_columns
 
     def counted_argsort(a, *args, **kwargs):
-        if np.asarray(a).dtype.kind == "f":  # not _assemble's sort of the parent ids
-            weight_sorts.append(len(a))
+        if np.asarray(a).dtype.kind == "f":
+            counts["weight"].append(len(a))
         return argsort(a, *args, **kwargs)
 
     def counted_name_order(tree):
-        name_sorts.append(len(tree))
+        counts["name"].append(len(tree))
         return name_order.func(tree)
+
+    def counted_columns(tree):
+        counts["column"].append(len(tree))
+        return columns(tree)
 
     counted = cached_property(counted_name_order)
     counted.__set_name__(Tree, "name_order")
     monkeypatch.setattr(np, "argsort", counted_argsort)
     monkeypatch.setattr(Tree, "name_order", counted)
+    monkeypatch.setattr(analysis, "_name_columns", counted_columns)
+    return counts
+
+
+# the file tree has depth 4 (31 vertices); a ladder ending at depth 2 sorts 7.
+# Depth 0 finds no witness, and the names wait for the first one
+@pytest.mark.parametrize("ladder, deepest", [([0, 3, 4], 31), ([0, 1, 2], 7)])
+def test_adversary_sorts_the_weight_and_the_names_once_per_ladder(monkeypatch, tmp_path,
+                                                                  ladder, deepest):
+    spec = read_analysis_spec(write_spec(tmp_path, shuffled_tree_files(tmp_path)
+                                         | {"depth_ladder": ladder}))
+    counts = count_adversary_sorts(monkeypatch)
     report = run_adversary(spec)
-    assert [e["found"] for e in report["unbounded_weight"]["entries"]] == [True] * 3
-    assert weight_sorts == [31, 31] and name_sorts == [31]
+    assert [e["found"] for e in report["unbounded_weight"]["entries"]] == [False, True, True]
+    assert counts == {"weight": [deepest] * 2, "name": [deepest], "column": [deepest]}
+
+
+def test_adversary_forms_no_name_column_without_a_witness(monkeypatch, tmp_path):
+    doc = shuffled_tree_files(tmp_path) | {"depth_ladder": [1, 3, 4],
+                                           "weight": {"family": "constant", "params": {"value": 2.0}}}
+    spec = read_analysis_spec(write_spec(tmp_path, doc))
+    counts = count_adversary_sorts(monkeypatch)
+    report = run_adversary(spec)
+    assert not any(e["found"] for key in ("unbounded_weight", "vanishing_weight")
+                   for e in report[key]["entries"])
+    assert counts == {"weight": [31] * 2, "name": [], "column": []}
+
+
+def test_map_tables_are_read_only():
+    # the writer renders a table from its index arrays, so its rows may not change
+    table = dump_map(SelfMap(build_bary(2, 2), np.array([0, 2, 1, 3, 4, 5, 6]), label="custom"))["map"]
+    assert type(table) is _MapTable and table["1"] == "2"
+    for edit in (lambda t: t.__setitem__("1", "1"), lambda t: t.__delitem__("1"), lambda t: t.clear(),
+                 lambda t: t.pop("1"), lambda t: t.popitem(), lambda t: t.setdefault("7", "7"),
+                 lambda t: t.update({"1": "1"}), lambda t: t.__ior__({"1": "1"})):
+        with pytest.raises(TypeError, match="read-only"):
+            edit(table)
+    assert report_json(table) == json.dumps(table, indent=2, sort_keys=True) + "\n"
+    for copied in (copy.copy(table), copy.deepcopy(table), pickle.loads(pickle.dumps(table))):
+        assert type(copied) is dict and copied == table
 
 
 # names that json escapes, that are not ASCII or not valid UTF-8, and whose

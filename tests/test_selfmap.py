@@ -12,7 +12,7 @@ from spectree import (DocumentError, OperatorSpec, SelfMap, adversary_unbounded,
                       identity_map, isometry_check, level_shift_map, load_map,
                       load_tree, parent_map, reciprocal_depth_weight, truncate,
                       vertices_at_level)
-from spectree.selfmap import _weight_orders
+from spectree.selfmap import _ADMISSIBLE, _swap_prefix, _weight_orders
 from spectree.tree import VERTEX_DTYPE
 
 
@@ -402,7 +402,7 @@ def test_sorts_of_a_prefix_are_the_source_sorts_restricted(branching, depth, dat
         for whole, own in zip(restricted + (tree.name_order[tree.name_order < m],),
                               _weight_orders(sub_weight.values) + (sub.name_order,)):
             assert np.array_equal(whole, own)
-        for build in (adversary_unbounded, adversary_vanishing):
-            got, want = build(sub, sub_weight, orders=restricted), build(sub, sub_weight)
+        for label, build in zip(_ADMISSIBLE, (adversary_unbounded, adversary_vanishing)):
+            got, want = _swap_prefix(sub, sub_weight, restricted, label), build(sub, sub_weight)
             assert (got is None) == (want is None)
             assert got is None or np.array_equal(got.image, want.image)
