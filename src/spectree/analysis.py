@@ -330,10 +330,10 @@ def _analyzed(spec: AnalysisSpec) -> Iterator[tuple[ClassView, dict, Callable]]:
     level_start = bary_level_start(source["branching"], spec.depth_ladder[-1],
                                    source.get("branch_until"))
     weights = family_levels(*parse_family(spec.weight_source), level_start)
-    name, k = parse_builtin(spec.map_source)
+    _, lift = parse_builtin(spec.map_source)
     for depth in spec.depth_ladder:
         start = level_start[:depth + 2]
-        classes = level_classes(name, k, start)
+        classes = level_classes(lift, start)
         domain_levels = classes.image_level.size  # never 0: the root is in every domain
         yield (LevelClassSpec(start, weights[:depth + 1], classes, spec.p),
                {"vertex_count": int(start[-1]), "domain_size": int(start[domain_levels]),

@@ -169,9 +169,9 @@ class LevelClassSpec(ClassView):
     def _h(self) -> np.ndarray:
         c, lam = self.classes, self.weights
         level = np.repeat(np.arange(lam.size), np.diff(c.class_start))
-        # a sum of one preimage weight is that weight; the few larger sums are
-        # those of the levels that still branch and of the root
-        sums = np.where(c.preimage_count > 0, lam[c.source_level], 0.0)
+        # a sum of one preimage weight is that weight (``take`` clips the D + 1 an empty
+        # class may hold); the few larger sums, of branching levels and the root, loop
+        sums = np.where(c.preimage_count > 0, lam.take(c.source_lo, mode="clip"), 0.0)
         for i in np.flatnonzero(c.preimage_count > 1).tolist():
             _, levels, reps = self._preimage_runs(i)
             sums[i] = _sequential_sum(lam[levels], reps)
@@ -198,12 +198,10 @@ class LevelClassSpec(ClassView):
     def _preimage_runs(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
         """The preimage of the first vertex of class ``i``: its first id, its
         levels and the number of its vertices in each, all contiguous."""
-        c = self.classes
-        if i == 0:
-            levels = np.flatnonzero(c.image_level == 0)
-            return 0, levels, np.diff(self.level_start)[levels]
-        levels = c.source_level[i:i + 1]
-        return int(self.level_start[levels[0]]), levels, c.preimage_count[i:i + 1]
+        c, start = self.classes, self.level_start
+        lo, hi = int(c.source_lo[i]), int(c.source_hi[i])
+        ends = np.minimum(start[lo + 1:hi + 1], start[lo] + c.preimage_count[i])
+        return int(start[lo]), np.arange(lo, hi), np.diff(ends, prepend=start[lo])
 
     @cached_property
     def _class_sizes(self) -> np.ndarray:

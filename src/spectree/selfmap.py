@@ -9,6 +9,7 @@ padded with made-up values.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Mapping, NamedTuple
@@ -100,18 +101,19 @@ def analyze(symbol: SelfMap) -> MapProfile:
 class LevelClasses(NamedTuple):
     """Structural facts about a builtin symbol on a generated b-ary tree, by
     level classes: contiguous id ranges inside one level whose vertices have
-    the same number of preimages, all in one level. Class 0 is the root.
-    Its preimage is every domain level that maps to level 0, a prefix of
-    the levels, since ``image_level`` is nondecreasing. The preimage of the
-    first vertex of any other class is the first ``preimage_count``
-    vertices of its ``source_level``. All arrays are int64.
+    the same number of preimages. The preimage of the first vertex of a
+    class is the ``preimage_count`` ids from the first vertex of level
+    ``source_lo``: levels ``source_lo`` to ``source_hi - 1``, the last of
+    them possibly in part (the root's under a lift fills several levels).
+    All arrays are int64.
     """
 
     image_level: np.ndarray  # the level each domain level maps to; the domain is levels 0..len - 1
     class_start: np.ndarray  # index of the first class of each level 0..D, then the class count
     first: np.ndarray  # first vertex of each class
     preimage_count: np.ndarray  # preimage count of each vertex of the class
-    source_level: np.ndarray  # the level of those preimages, -1 when there are none
+    source_lo: np.ndarray  # the first level of those preimages
+    source_hi: np.ndarray  # one past their last level; source_lo when there are none
 
     @property
     def max_multiplicity(self) -> int:
@@ -126,15 +128,14 @@ class LevelClasses(NamedTuple):
         return bool(self.preimage_count.min() > 0)
 
 
-def level_classes(name: str, k: int | None, level_start: np.ndarray) -> LevelClasses:
-    """The builtin ``name`` (with shift ``k`` for ``level_shift``) on the
-    generated b-ary tree whose levels start at ``level_start``, by level
-    classes. ``identity`` and ``parent`` are the shifts by 0 and 1."""
+def level_classes(lift: int | None, level_start: np.ndarray) -> LevelClasses:
+    """The builtin of ``lift`` (see :func:`parse_builtin`) on the generated
+    b-ary tree whose levels start at ``level_start``, by level classes."""
     start, depth = level_start, len(level_start) - 2
     width, levels = np.diff(start), np.arange(depth + 1)
-    if name == "depth_square":
-        # the i-th vertex of level m goes to the i-th of level m*m, so the first
-        # width[m] vertices of level m*m have one preimage each and the rest none
+    if lift is None:
+        # index rule: the i-th vertex of level m goes to the i-th of level m*m, so the
+        # first width[m] vertices of level m*m have one preimage each and the rest none
         image_level = np.arange(math.isqrt(depth) + 1) ** 2
         imaged = np.zeros(depth + 1, dtype=np.int64)
         imaged[image_level] = width[:image_level.size]
@@ -142,52 +143,54 @@ def level_classes(name: str, k: int | None, level_start: np.ndarray) -> LevelCla
         class_start = np.append(0, np.cumsum(1 + split))
         first = np.repeat(start[:-1], 1 + split)
         first[class_start[:-1][split] + 1] += imaged[split]
-        count = np.zeros(first.size, dtype=np.int64)
-        source = np.full(first.size, -1)
+        count, source = np.zeros((2, first.size), dtype=np.int64)
         count[class_start[image_level]] = 1
         source[class_start[image_level]] = np.arange(image_level.size)
-        return LevelClasses(image_level, class_start, first, count, source)
-    # a shift by k: a vertex of level n >= 1 has its descendants at level n + k
-    # as preimage, the root the whole of levels 0..k; shifts past the depth are alike
-    k = min({"identity": 0, "parent": 1}.get(name, k), depth)
-    count = np.zeros(depth + 1, dtype=np.int64)
-    count[0] = start[k + 1]
-    count[1:depth - k + 1] = width[k + 1:] // width[1:depth - k + 1]
-    source = np.where(count > 0, levels + k, -1)
-    source[0] = 0
-    return LevelClasses(np.maximum(levels - k, 0), np.arange(depth + 2), start[:-1], count, source)
+        return LevelClasses(image_level, class_start, first, count, source, source + count)
+    # ancestor rule: level n's preimage, the range of levels image_level sends to n, splits
+    # evenly among level n's vertices; lifts past the depth are alike
+    image_level = np.maximum(levels - min(lift, depth), 0)
+    lo, hi = (np.searchsorted(image_level, levels, side) for side in ("left", "right"))
+    return LevelClasses(image_level, np.arange(depth + 2), start[:-1],
+                        (start[hi] - start[lo]) // width, lo, hi)
 
 
-def identity_map(tree: Tree) -> SelfMap:
-    return SelfMap(tree, np.arange(len(tree), dtype=VERTEX_DTYPE), label="identity")
-
-
-def parent_map(tree: Tree) -> SelfMap:
-    """Each vertex to its parent; the root stays put."""
-    image = tree.parent.copy()
-    image[0] = 0
-    return SelfMap(tree, image, label="parent")
-
-
-def level_shift_map(tree: Tree, k: int) -> SelfMap:
-    """Each vertex to its ancestor ``k`` levels up, clamped at the root."""
-    k = int(k)
-    if k < 0:
+def _ancestor_map(tree: Tree, lift: int, label: str) -> SelfMap:
+    """The ancestor rule: each vertex to its ancestor ``lift`` levels up, clamped at
+    the root; ``params`` records a lift that the builtin ``label`` reads from its document."""
+    if not hasattr(lift, "__index__"):  # numpy integers pass, as they index
+        raise ValueError(f"level shift must be an integer, got {lift!r}")
+    if (lift := operator.index(lift)) < 0:
         raise ValueError("level shift must be >= 0")
     image = np.arange(len(tree), dtype=VERTEX_DTYPE)
     # after truncation_depth steps every vertex has reached the root; the
     # power of the parent map is formed by squaring, in log2(depth) passes
-    power, e = parent_map(tree).image, min(k, tree.truncation_depth)
+    power, e = np.maximum(tree.parent, 0), min(lift, tree.truncation_depth)
     while e:
         if e & 1:
             image = power[image]
         power, e = power[power], e >> 1
-    return SelfMap(tree, image, label="level_shift", params={"k": k})
+    key = _BUILTINS[label]
+    return SelfMap(tree, image, label=label, params={key: lift} if isinstance(key, str) else None)
+
+
+def identity_map(tree: Tree) -> SelfMap:
+    return _ancestor_map(tree, 0, "identity")
+
+
+def parent_map(tree: Tree) -> SelfMap:
+    """Each vertex to its parent; the root stays put."""
+    return _ancestor_map(tree, 1, "parent")
+
+
+def level_shift_map(tree: Tree, k: int) -> SelfMap:
+    """Each vertex to its ancestor ``k`` levels up, clamped at the root."""
+    return _ancestor_map(tree, k, "level_shift")
 
 
 def depth_square_map(tree: Tree) -> SelfMap:
     """Injective symbol sending the i-th vertex at level n to the i-th vertex
-    at level n*n.
+    at level n*n: the index rule.
 
     Distinct levels go to distinct levels and indices are preserved inside a
     level, so the map is injective whenever level n*n is at least as wide as
@@ -207,26 +210,27 @@ def depth_square_map(tree: Tree) -> SelfMap:
     return SelfMap(tree, image, label="depth_square")
 
 
-_BUILTIN_PARAMS = {"identity": (), "parent": (), "level_shift": ("k",), "depth_square": ()}
+# each builtin's ancestor rule lift, or the param that gives it; None for the index rule
+_BUILTINS = {"identity": 0, "parent": 1, "level_shift": "k", "depth_square": None}
 
 
 def parse_builtin(document: Mapping) -> tuple[str, int | None]:
-    """The name of a ``{"builtin": name, "params": {...}}`` map document and,
-    for ``level_shift``, its shift ``k``. Keys outside the builtin's own are
-    refused."""
+    """The name of a ``{"builtin": name, "params": {...}}`` map document and its
+    lift: the levels its ancestor rule lifts a vertex by, None for the index
+    rule of ``depth_square``. Keys outside the builtin's own are refused."""
     document_keys(document, ("builtin", "params"), "map document")
     name = document["builtin"]
     params = {} if document.get("params") is None else document["params"]
     if not isinstance(params, Mapping):
         raise DocumentError('map document field "params" must be an object')
-    if not isinstance(name, str) or name not in _BUILTIN_PARAMS:
+    if not isinstance(name, str) or name not in _BUILTINS:
         raise DocumentError(f"unknown builtin map '{name}'")
-    document_keys(params, _BUILTIN_PARAMS[name], f"{name} params")
-    if name != "level_shift":
-        return name, None
-    if "k" not in params:
-        raise DocumentError("level_shift needs params.k")
-    return name, document_int(params["k"], "level_shift params.k")
+    lift = _BUILTINS[name]
+    keys = (lift,) if isinstance(lift, str) else ()
+    document_keys(params, keys, f"{name} params")
+    if keys and lift not in params:
+        raise DocumentError(f"{name} needs params.{lift}")
+    return name, document_int(params[lift], f"{name} params.{lift}") if keys else lift
 
 
 def load_map(tree: Tree, document: Mapping) -> SelfMap:
@@ -235,11 +239,8 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
     if not isinstance(document, Mapping):
         raise DocumentError("map document must be an object")
     if "builtin" in document:
-        name, k = parse_builtin(document)
-        if name == "level_shift":
-            return level_shift_map(tree, k)
-        return {"identity": identity_map, "parent": parent_map,
-                "depth_square": depth_square_map}[name](tree)
+        name, lift = parse_builtin(document)
+        return depth_square_map(tree) if lift is None else _ancestor_map(tree, lift, name)
     if "map" in document:
         document_keys(document, ("map",), "map document")
         targets = table_values(tree, document, "map", "map")
@@ -256,11 +257,9 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
 
 def dump_map(symbol: SelfMap) -> dict:
     """Serialize to the document format accepted by :func:`load_map`."""
-    if symbol.label in _BUILTIN_PARAMS:
-        doc: dict = {"builtin": symbol.label}
-        if symbol.label == "level_shift":
-            doc["params"] = {"k": int(symbol.params["k"])}
-        return doc
+    if symbol.label in _BUILTINS:  # params hold a level_shift's lift
+        params = {key: int(value) for key, value in (symbol.params or {}).items()}
+        return {"builtin": symbol.label} | ({"params": params} if params else {})
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
     return {"map": _MapTable(symbol.image, *_name_columns(symbol.tree))}

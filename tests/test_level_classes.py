@@ -29,7 +29,7 @@ WEIGHTS = [
 
 
 def map_docs(depth):
-    shifts = sorted({0, 1, 2, depth, depth + 5})
+    shifts = sorted({0, 1, 2, depth, depth + 5, 10 ** 30})
     return ([{"builtin": name} for name in ("identity", "parent", "depth_square")]
             + [{"builtin": "level_shift", "params": {"k": k}} for k in shifts])
 

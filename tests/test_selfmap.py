@@ -137,7 +137,24 @@ def level_shift_by_steps(tree, k):
 def test_level_shift_by_squaring_matches_the_stepwise_loop(shape):
     t = build_bary(*shape)
     for k in range(t.truncation_depth + 3):
-        assert np.array_equal(level_shift_map(t, k).image, level_shift_by_steps(t, k))
+        m = level_shift_map(t, k)
+        assert np.array_equal(m.image, level_shift_by_steps(t, k))
+        assert (m.label, m.params, dump_map(m)) == (
+            "level_shift", {"k": k}, {"builtin": "level_shift", "params": {"k": k}})
+    # identity and parent are the shifts by 0 and 1, under their own names
+    for m, k, label in ((identity_map(t), 0, "identity"), (parent_map(t), 1, "parent")):
+        assert np.array_equal(m.image, level_shift_by_steps(t, k))
+        assert (m.label, m.params, dump_map(m)) == (label, None, {"builtin": label})
+
+
+def test_level_shift_refuses_a_non_integral_shift():
+    t = build_bary(2, 4)
+    for k in (2.5, np.float64(2.5), 2.0, "2"):
+        with pytest.raises(ValueError, match="level shift must be an integer"):
+            level_shift_map(t, k)
+    m = level_shift_map(t, np.int64(2))  # numpy integers pass, recorded as int
+    assert np.array_equal(m.image, level_shift_map(t, 2).image)
+    assert type(m.params["k"]) is int and m.params == {"k": 2}
 
 
 def test_parent_map_on_path():
