@@ -22,7 +22,7 @@ from .compop import (VERDICT_COMPACT, ClassView, LevelClassSpec, OperatorSpec,
                      boundedness_trend, compactness_profile, isometry_check, operator_norm,
                      ratio_sup, tail_defect)
 from .errors import DocumentError
-from .schatten import (hs_norm, schatten_sum, schatten_trend, singular_value_classes,
+from .schatten import (schatten_sums, schatten_trend, singular_value_classes,
                        trace_diagonal)
 from .selfmap import (_ADMISSIBLE, SelfMap, _MapTable, _name_columns, _swap_prefix,
                       _weight_orders, dump_map, level_classes, load_map, parse_builtin)
@@ -188,6 +188,8 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     qs = [document_real(q, "analysis spec: Schatten exponent") for q in exponents]
     if not all(1.0 <= q < math.inf for q in qs):
         raise DocumentError('analysis spec: Schatten exponents must be finite numbers >= 1')
+    if repeated := [q for i, q in enumerate(qs) if q in qs[:i]]:  # a trend needs distinct sums
+        raise DocumentError(f"analysis spec: Schatten exponent {real_str(repeated[0])} is repeated")
 
     seed = document_int(document.get("seed", 0), 'analysis spec: "seed"')
 
@@ -425,7 +427,8 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
     for depth, (view, sizes, _) in zip(spec.depth_ladder, _analyzed(spec)):
         n = sizes["vertex_count"]
         values, counts = singular_value_classes(view)
-        sums = {q: schatten_sum(view, q) for q in spec.schatten_exponents}
+        *q_sums, hs_sq = schatten_sums(view, [*spec.schatten_exponents, 2.0]).tolist()
+        sums = dict(zip(spec.schatten_exponents, q_sums))
         oracle_entry: dict = {"checked": False, "notice": None}
         oracle_values = None
         if not spec.oracle_enabled:
@@ -458,7 +461,7 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
         entries.append({
             "depth": depth,
             "vertex_count": n,
-            "hs_norm": real_str(hs_norm(view)),
+            "hs_norm": real_str(math.sqrt(hs_sq)),
             "trace_diagonal": real_str(diagonal.value),
             "fixed_point_count": diagonal.fixed_point_count,
             "schatten_sums": {real_str(q): real_str(sums[q]) for q in spec.schatten_exponents},

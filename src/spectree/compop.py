@@ -81,12 +81,12 @@ class ClassView:
         """The first vertex of class ``i``."""
         return i if self._h_first is None else int(self._h_first[i])
 
-    def _sum(self, per_class: np.ndarray) -> float:
-        """``np.sum``, bit for bit, of the n-length array that holds
-        ``per_class`` on the classes."""
+    def _sum(self, stack: np.ndarray) -> np.ndarray:
+        """Row by row ``np.sum``, bit for bit, of the n-length arrays that
+        hold the rows of a ``(k, classes)`` stack on the classes: k sums."""
         if self._h_first is None:
-            return float(np.sum(per_class))
-        return _run_sum(per_class, self._class_sizes)
+            return np.sum(stack, axis=-1)
+        return _run_sum(stack, self._class_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +144,7 @@ class OperatorSpec(ClassView):
         preimage = np.flatnonzero(self.symbol.image == u)
         terms = np.zeros(len(self.tree), dtype=np.float64)
         terms[preimage] = _image_terms(lam[u], lam[preimage], self.p)
-        return self._sum(terms)
+        return self._sum(terms[None])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,8 +212,8 @@ class LevelClassSpec(ClassView):
         level = np.searchsorted(self.classes.class_start, i, side="right") - 1
         terms = _image_terms(self.weights[level], self.weights[levels], self.p)
         after = int(self.level_start[-1]) - start - int(reps.sum())  # zeros, terms, zeros
-        return _run_sum(np.concatenate(([0.0], terms, [0.0])),
-                        np.concatenate(([start], reps, [after])))
+        return _run_sum(np.concatenate(([0.0], terms, [0.0]))[None],
+                        np.concatenate(([start], reps, [after])))[0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -242,18 +242,18 @@ def _sequential_sum(values: np.ndarray, reps: np.ndarray) -> float:
     return total
 
 
-def _run_sum(values: np.ndarray, counts: np.ndarray) -> float:
-    """``np.sum(np.repeat(values, counts))``, bit for bit, without forming
-    the array. numpy splits a block of more than 128 terms at half its
-    length rounded down to a multiple of 8 and sums the others as leaves,
-    from 0.0. This follows it, recursing only into blocks that straddle a
-    run boundary; a block inside one run is summed once per (run, length).
-    A leaf is summed by numpy, from 0.0, which changes at most the sign of
-    a zero sum, and the final 0.0 + sum drops that sign."""
+def _run_sum(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``np.sum(np.repeat(row, counts))`` for each row of a ``(k, runs)`` stack,
+    bit for bit, without forming the arrays. numpy splits a block of more than
+    128 terms at half its length rounded down to a multiple of 8 and sums the
+    others as leaves, from 0.0. This follows it once for all rows, recursing
+    only into blocks that straddle a run boundary; a block inside one run is
+    summed once per (run, length). A leaf is summed by numpy, row by row from
+    0.0, which changes at most the sign of a zero sum; the final 0.0 + drops it."""
     starts = [0, *np.cumsum(counts).tolist()]  # run j holds terms starts[j] to starts[j + 1] - 1
 
     @cache
-    def block(lo: int, n: int, j: int) -> float:  # run ``j`` holds term ``lo``
+    def block(lo: int, n: int, j: int) -> np.ndarray:  # run ``j`` holds term ``lo``; k sums
         if starts[j] < lo and lo + n <= starts[j + 1]:  # inside one run: n alone matters
             return block(starts[j], n, j)
         if n > 128:
@@ -261,10 +261,10 @@ def _run_sum(values: np.ndarray, counts: np.ndarray) -> float:
             return block(lo, mid - lo, j) + block(mid, lo + n - mid, bisect.bisect(starts, mid) - 1)
         k = bisect.bisect_left(starts, lo + n, j)
         cut = [min(max(start, lo), lo + n) for start in starts[j:k + 1]]  # runs j to k - 1 in the leaf
-        return float(np.repeat(values[j:k], [b - a for a, b in zip(cut, cut[1:])]).sum())
+        return np.repeat(stack[:, j:k], [b - a for a, b in zip(cut, cut[1:])], axis=1).sum(axis=1)
 
     with np.errstate(over="ignore", invalid="ignore"):  # inf or nan as np.sum gives, unwarned
-        return 0.0 + block(0, starts[-1], bisect.bisect(starts, 0) - 1) if starts[-1] else 0.0
+        return 0.0 + block(0, starts[-1], bisect.bisect(starts, 0) - 1)  # zeros when no terms
 
 
 def _image_terms(lam_u: float, lam_preimage: np.ndarray, p: float) -> np.ndarray:

@@ -11,6 +11,8 @@ Dense storage makes this a desk-scale tool; callers are expected to skip
 oracle checks above a few hundred vertices (600 by default in the reporting
 layer) and say so in their reports. An experiment document may raise that cap
 to at most 4096 vertices: the matrix and its Gram product are then 134 MB each.
+The Jacobi solver copies the Gram only before its first rotation, so the
+diagonal Gram of a composition operator costs no third such array.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
     norm, or 100 sweeps have run, whichever comes first, so termination is
     deterministic. Returns eigenvalues in descending order.
     """
-    a = np.array(sym, dtype=np.float64, copy=True)
+    a = np.asarray(sym, dtype=np.float64)  # read in place; copied before the first write
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -70,15 +72,19 @@ def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
     if n == 0:
         return np.empty(0, dtype=np.float64)
 
-    for _ in range(_JACOBI_MAX_SWEEPS):
+    for sweep in range(_JACOBI_MAX_SWEEPS):
         total = float(np.linalg.norm(a))
-        if total == 0.0:
-            break
+        if total == 0.0 or np.count_nonzero(a) == np.count_nonzero(np.diag(a)):
+            break  # no off-diagonal entry: off_sq below is exactly 0
         # summed from the strict upper triangle: the difference of the full
         # and the diagonal sums would leave roundoff noise near 1e-8 relative
-        off_sq = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
+        upper = np.triu(a, 1)
+        off_sq = 2.0 * float(np.sum(np.multiply(upper, upper, out=upper)))
+        del upper
         if math.sqrt(off_sq) <= _JACOBI_REL_TOL * total:
             break
+        if sweep == 0:  # an upper entry is nonzero, so this sweep writes: to a copy
+            a = a.copy()
         for p in range(n - 1):
             for q in range(p + 1, n):
                 apq = a[p, q]

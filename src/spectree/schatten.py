@@ -44,21 +44,26 @@ def singular_values_analytic(spec: ClassView) -> np.ndarray:
 
 def hs_norm(spec: ClassView) -> float:
     """Hilbert-Schmidt norm: [sum_u w(preimage(u)) / w(u)] ** (1/2)."""
-    _require_hilbert(spec)
-    return float(np.sqrt(spec._sum(spec._h)))
+    return float(np.sqrt(schatten_sums(spec, [2.0])[0]))
 
 
 def schatten_sum(spec: ClassView, q: float) -> float:
     """Partial Schatten sum sum_u [w(preimage(u)) / w(u)]^(q/2) over the
     truncation. Coincides with the sum of the q-th powers of the singular
     values because the diagonal entries are the squared singular values."""
+    return float(schatten_sums(spec, [q])[0])
+
+
+def schatten_sums(spec: ClassView, qs: Sequence[float]) -> np.ndarray:
+    """:func:`schatten_sum` at each exponent of ``qs``, from one pass over
+    the classes; at q = 2 it is the squared Hilbert-Schmidt norm."""
     _require_hilbert(spec)
-    q = float(q)
-    if not q >= 1.0:
-        raise ValueError(f"Schatten exponent must satisfy q >= 1, got {q!r}")
-    # empty preimages contribute 0 ** (q/2) == 0; summing over every vertex
-    # keeps the q = 2 case the same summation as the squared Hilbert-Schmidt norm
-    return spec._sum(spec._h ** (q / 2.0))
+    qs = [float(q) for q in qs]
+    if low := [q for q in qs if not q >= 1.0]:
+        raise ValueError(f"Schatten exponent must satisfy q >= 1, got {low[0]!r}")
+    # empty preimages contribute 0 ** (q/2) == 0, and h ** 1.0 is h: summing over
+    # every vertex keeps q = 2 the same summation as the squared Hilbert-Schmidt norm
+    return spec._sum(np.stack([spec._h ** (q / 2.0) for q in qs]))
 
 
 class TraceDiagonal(NamedTuple):

@@ -256,10 +256,16 @@ def load_map(tree: Tree, document: Mapping) -> SelfMap:
 
 
 def dump_map(symbol: SelfMap) -> dict:
-    """Serialize to the document format accepted by :func:`load_map`."""
+    """Serialize to the document format accepted by :func:`load_map`: as its
+    builtin if the symbol's image is that of the builtin its label names."""
     if symbol.label in _BUILTINS:  # params hold a level_shift's lift
         params = {key: int(value) for key, value in (symbol.params or {}).items()}
-        return {"builtin": symbol.label} | ({"params": params} if params else {})
+        document = {"builtin": symbol.label} | ({"params": params} if params else {})
+        try:
+            if np.array_equal(load_map(symbol.tree, document).image, symbol.image):
+                return document
+        except ValueError:  # no such builtin on this tree: the label is wrong
+            pass
     if not symbol.is_total:
         raise ValueError("only builtin symbols may have a partial domain")
     return {"map": _MapTable(symbol.image, *_name_columns(symbol.tree))}

@@ -420,6 +420,7 @@ BIG = 10 ** 400  # an exact JSON integer beyond the floating-point range
     {"p": BIG},
     {"schatten_exponents": [1, BIG]},
     {"schatten_exponents": ["1e400"]},
+    {"schatten_exponents": [1, 2, 4, 2.0]},
     {"tolerances": {"isometry_ratio": BIG}},
     {"weight": {"family": "constant", "params": {"value": BIG}}},
     {"weight": {"family": "geometric", "params": {"ratio": BIG}}},
@@ -430,12 +431,14 @@ BIG = 10 ** 400  # an exact JSON integer beyond the floating-point range
     {"map": {"builtin": "level_shift", "params": {"k": 1.5}}},
     {"map": {"builtin": "level_shift", "params": {"k": True}}},
     {"tree": {"generator": "bary", "branching": 2, "branch_until": True}},
-], ids=["p", "schatten_exponent", "schatten_exponent_overflowing_float", "tolerance",
-        "constant_value", "geometric_ratio", "weights_entry", "constant_value_list",
-        "k_overflowing_float", "k_list", "k_fraction", "k_boolean", "branch_until_boolean"])
+], ids=["p", "schatten_exponent", "schatten_exponent_overflowing_float",
+        "schatten_exponent_repeated", "tolerance", "constant_value", "geometric_ratio",
+        "weights_entry", "constant_value_list", "k_overflowing_float", "k_list", "k_fraction",
+        "k_boolean", "branch_until_boolean"])
 def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
-    # numbers beyond the float range, non-numbers, and booleans or fractions
-    # in integer fields are input errors (exit 2), not crashes (exit 1)
+    # numbers beyond the float range, non-numbers, booleans or fractions in
+    # integer fields and a repeated exponent are input errors (exit 2), not
+    # crashes (exit 1)
     assert main(["spectrum", write_spec(tmp_path, base_doc(depth_ladder=[1]), "ok.json")]) == 0
     capsys.readouterr()
     text = json.dumps(base_doc(depth_ladder=[1]) | overrides).replace('"1e400"', "1e400")

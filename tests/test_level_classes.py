@@ -256,17 +256,26 @@ def test_spectrum_past_the_oracle_cap_peaks_below_one_mib():
 
 
 EXTREMES = [1 / 3, 1e300, 5e-324, 1e308, 0.0, -0.0, -2.5, math.inf]
+VALUES = st.floats(allow_nan=False) | st.sampled_from(EXTREMES)
+
+
+def same_sum(got, want):
+    return (got == want and math.copysign(1, got) == math.copysign(1, want)
+            or math.isnan(got) and math.isnan(want))
 
 
 @settings(deadline=None)
-@given(st.lists(st.tuples(st.floats(allow_nan=False) | st.sampled_from(EXTREMES),
+@given(st.lists(st.tuples(VALUES, VALUES,
                           st.integers(0, 300) | st.sampled_from([0, 7, 8, 128, 129, 40_000])),
                 max_size=8))
 def test_run_sum_is_the_numpy_sum_of_the_runs(runs):
-    values = np.array([v for v, _ in runs], dtype=np.float64)
-    counts = np.array([c for _, c in runs], dtype=np.int64)
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = np.sum(np.repeat(values, counts))
-    got = compop._run_sum(values, counts)
-    assert (got == want and math.copysign(1, got) == math.copysign(1, want)
-            or math.isnan(got) and math.isnan(want))
+    # a two-row stack: each row's sum is its one-row call's and np.sum's
+    stack = np.array([[r[0] for r in runs], [r[1] for r in runs]], dtype=np.float64)
+    counts = np.array([c for *_, c in runs], dtype=np.int64)
+    got = compop._run_sum(stack, counts)
+    assert got.shape == (2,)
+    for row, row_sum in zip(stack, got):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.sum(np.repeat(row, counts))
+        assert same_sum(row_sum, want)
+        assert same_sum(compop._run_sum(row[None], counts)[0], want)

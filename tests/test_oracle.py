@@ -113,6 +113,119 @@ def test_jacobi_stops_at_once_on_a_diagonal_gram(monkeypatch):
     assert np.array_equal(eig, np.sort(np.diag(gram))[::-1])
 
 
+def reference_jacobi(sym: np.ndarray) -> np.ndarray:
+    # jacobi_eigenvalues as it was before it read its input in place
+    a = np.array(sym, dtype=np.float64, copy=True)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    n = a.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+
+    for _ in range(100):
+        total = float(np.linalg.norm(a))
+        if total == 0.0:
+            break
+        # summed from the strict upper triangle: the difference of the full
+        # and the diagonal sums would leave roundoff noise near 1e-8 relative
+        off_sq = 2.0 * float(np.sum(np.triu(a, 1) ** 2))
+        if math.sqrt(off_sq) <= 1e-14 * total:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if apq == 0.0:
+                    continue
+                diff = a[q, q] - a[p, p]
+                if abs(apq) <= 1e-150 * abs(diff):
+                    # negligible at working precision, and the rotation angle
+                    # would underflow; drop the pair outright
+                    a[p, q] = 0.0
+                    a[q, p] = 0.0
+                    continue
+                theta = diff / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+                c = 1.0 / math.sqrt(t * t + 1.0)
+                s = t * c
+                rp = a[p, :].copy()
+                rq = a[q, :].copy()
+                a[p, :] = c * rp - s * rq
+                a[q, :] = s * rp + c * rq
+                cp = a[:, p].copy()
+                cq = a[:, q].copy()
+                a[:, p] = c * cp - s * cq
+                a[:, q] = s * cp + c * cq
+                # the rotation angle is chosen to annihilate this pair
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+    return np.sort(np.diag(a))[::-1]
+
+
+def random_symmetric(rng, n, scale=1.0):
+    a = rng.standard_normal((n, n)) * scale
+    return (a + a.T) / 2.0
+
+
+def jacobi_cases():
+    rng = np.random.default_rng(6)
+    yield np.zeros((0, 0))
+    yield np.zeros((4, 4))
+    yield np.array([[-2.5]])
+    yield np.diag([3.0, -1.0, 0.0, 1e-300])
+    yield np.array([[1.0, 1e-160], [1e-160, 2.0]])  # not diagonal, but off_sq underflows to 0
+    # the first write zeroes a negligible pair, then a rotation follows
+    yield np.array([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0], [0.0, 1.0, 3.0]])
+    for n in (2, 3, 8, 20):
+        yield random_symmetric(rng, n)
+    yield random_symmetric(rng, 12, 1e150)
+    yield random_symmetric(rng, 12, 1e-150)
+    yield np.array([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    yield [[1.0, 2.0], [2.0, -1.0]]
+
+
+def test_jacobi_equals_the_copying_reference_bit_for_bit():
+    for case in jacobi_cases():
+        got, want = jacobi_eigenvalues(case), reference_jacobi(case)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.filterwarnings("ignore:the matrix subclass:PendingDeprecationWarning")
+def test_jacobi_never_writes_its_input():
+    rng = np.random.default_rng(7)
+    sym = random_symmetric(rng, 9)
+    big = random_symmetric(rng, 18)
+    for case in (sym, big[::2, ::2], big[::2, ::2].T, np.matrix(sym)):
+        before = np.array(case, copy=True)
+        writable = case.flags.writeable
+        assert np.array_equal(jacobi_eigenvalues(case), reference_jacobi(before))
+        assert np.array_equal(np.asarray(case), before)
+        assert case.flags.writeable == writable
+    for case in (sym, np.array([[1.0, 1e-160, 0.0], [1e-160, 2.0, 1.0], [0.0, 1.0, 3.0]])):
+        frozen = case.copy()
+        frozen.setflags(write=False)  # every write lands in the solver's own copy
+        assert np.array_equal(jacobi_eigenvalues(frozen), reference_jacobi(case))
+
+
+def test_svd_values_peaks_below_a_quarter_above_the_gram():
+    # the oracle's case: the parent map makes the Gram diagonal, so the
+    # solver stops at once and needs no copy of it
+    t = build_bary(2, 8)  # 511 vertices
+    m = matrix_of(spec2(t, geometric_weight(t, 0.5), parent_map(t)))
+    gram_bytes = m.shape[1] ** 2 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values = svd_values(m)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, np.sqrt(np.clip(reference_jacobi(m.T @ m), 0.0, None)))
+    assert peak < 1.25 * gram_bytes, f"{peak / gram_bytes:.2f} Grams"
+
+
 def test_svd_matches_numpy_on_random_rectangular_matrices():
     rng = np.random.default_rng(4)
     for shape in ((6, 6), (8, 3), (3, 8), (25, 25)):

@@ -207,6 +207,16 @@ def test_dump_map_round_trips():
         assert np.array_equal(again.image, m.image)
     custom = load_map(t, dump_map(SelfMap(t, np.zeros(len(t), dtype=np.int64))))
     assert (custom.image == 0).all()
+    # a builtin's label on another image is written as a table, or refused if partial
+    for m in (SelfMap(t, np.arange(len(t)), label="parent"),
+              SelfMap(t, parent_map(t).image, label="level_shift", params={"k": 2}),
+              SelfMap(t, parent_map(t).image, label="level_shift"),
+              SelfMap(t, np.zeros(len(t)), label="depth_square")):
+        assert "map" in dump_map(m)
+        assert np.array_equal(load_map(t, dump_map(m)).image, m.image)
+    partial = np.where(np.arange(len(t)) == 2, -1, depth_square_map(t).image)
+    with pytest.raises(ValueError, match="partial domain"):
+        dump_map(SelfMap(t, partial, label="depth_square"))
 
 
 def test_adversary_unbounded_prefers_extreme_pairs():
