@@ -188,8 +188,11 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
     qs = [document_real(q, "analysis spec: Schatten exponent") for q in exponents]
     if not all(1.0 <= q < math.inf for q in qs):
         raise DocumentError('analysis spec: Schatten exponents must be finite numbers >= 1')
-    if repeated := [q for i, q in enumerate(qs) if q in qs[:i]]:  # a trend needs distinct sums
-        raise DocumentError(f"analysis spec: Schatten exponent {real_str(repeated[0])} is repeated")
+    seen: set[float] = set()
+    for q in qs:  # a trend needs distinct sums
+        if q in seen:
+            raise DocumentError(f"analysis spec: Schatten exponent {real_str(q)} is repeated")
+        seen.add(q)
 
     seed = document_int(document.get("seed", 0), 'analysis spec: "seed"')
 

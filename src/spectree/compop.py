@@ -17,10 +17,9 @@ supremum to the power 1/p; in general it sharpens the multiplicity bound
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -61,9 +60,12 @@ class ClassView:
     - ``_source_pair(i)``: symbol(v), w(symbol(v)) and w(v) for the first
       vertex v of domain class ``i``;
     - ``_class_sizes``: the number of vertices in each class;
-    - ``_preimage_sum(i)``: ``np.sum``, bit for bit, of the n-length array that
-      holds ``_image_terms`` of class ``i``'s first vertex at its preimage, else 0.
-    """
+    - ``_preimage_sum(i)``: the sum of ``_image_terms`` of class ``i``'s first
+      vertex over its preimage.
+
+    A vertex operator sums in numpy's orders: preimage weights as
+    ``np.bincount``, sums over the vertices (``_preimage_sum`` too) as
+    pairwise ``np.sum``. Level classes sum exactly, rounded once."""
 
     @cached_property
     def _h_tail(self) -> np.ndarray:
@@ -82,11 +84,10 @@ class ClassView:
         return i if self._h_first is None else int(self._h_first[i])
 
     def _sum(self, stack: np.ndarray) -> np.ndarray:
-        """Row by row ``np.sum``, bit for bit, of the n-length arrays that
-        hold the rows of a ``(k, classes)`` stack on the classes: k sums."""
+        """Each row of a ``(k, classes)`` stack, summed over the vertices."""
         if self._h_first is None:
             return np.sum(stack, axis=-1)
-        return _run_sum(stack, self._class_sizes)
+        return _exact_sum(stack, self._class_sizes)
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +174,8 @@ class LevelClassSpec(ClassView):
         # class may hold); the few larger sums, of branching levels and the root, loop
         sums = np.where(c.preimage_count > 0, lam.take(c.source_lo, mode="clip"), 0.0)
         for i in np.flatnonzero(c.preimage_count > 1).tolist():
-            _, levels, reps = self._preimage_runs(i)
-            sums[i] = _sequential_sum(lam[levels], reps)
+            levels, reps = self._preimage_runs(i)
+            sums[i] = _exact_sum(lam[levels][None], reps)[0]
         return _read_only(np.divide(sums, lam[level], out=sums))
 
     @cached_property
@@ -195,25 +196,23 @@ class LevelClassSpec(ClassView):
         m = self.classes.image_level[i]  # the first vertex of level i goes to the first of level m
         return int(self.level_start[m]), self.weights[m], self.weights[i]
 
-    def _preimage_runs(self, i: int) -> tuple[int, np.ndarray, np.ndarray]:
-        """The preimage of the first vertex of class ``i``: its first id, its
-        levels and the number of its vertices in each, all contiguous."""
+    def _preimage_runs(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The preimage of the first vertex of class ``i``, one id run from
+        the first vertex of a level: its levels and its vertex count in each."""
         c, start = self.classes, self.level_start
         lo, hi = int(c.source_lo[i]), int(c.source_hi[i])
         ends = np.minimum(start[lo + 1:hi + 1], start[lo] + c.preimage_count[i])
-        return int(start[lo]), np.arange(lo, hi), np.diff(ends, prepend=start[lo])
+        return np.arange(lo, hi), np.diff(ends, prepend=start[lo])
 
     @cached_property
     def _class_sizes(self) -> np.ndarray:
         return _read_only(np.diff(self.classes.first, append=self.level_start[-1]))
 
     def _preimage_sum(self, i: int) -> float:
-        start, levels, reps = self._preimage_runs(i)
+        levels, reps = self._preimage_runs(i)
         level = np.searchsorted(self.classes.class_start, i, side="right") - 1
-        terms = _image_terms(self.weights[level], self.weights[levels], self.p)
-        after = int(self.level_start[-1]) - start - int(reps.sum())  # zeros, terms, zeros
-        return _run_sum(np.concatenate(([0.0], terms, [0.0]))[None],
-                        np.concatenate(([start], reps, [after])))[0]
+        return _exact_sum(_image_terms(self.weights[level], self.weights[levels], self.p)[None],
+                          reps)[0]
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -221,50 +220,26 @@ def _read_only(array: np.ndarray) -> np.ndarray:
     return array
 
 
-_SUM_CHUNK = 1 << 16
-_LOOP_TERMS = 384  # up to this many terms, Python's adds beat numpy's per-call cost
-
-
-def _sequential_sum(values: np.ndarray, reps: np.ndarray) -> float:
-    """0.0 + values[0] + ... + values[-1], added left to right with each
-    ``values[j]`` taken ``reps[j]`` times in turn: the sum ``np.bincount``
-    forms, bit for bit. Few terms are added one by one in Python (not by
-    ``sum()``, which compensates from 3.12), more a bounded chunk at a time."""
-    if sum(counts := reps.tolist()) <= _LOOP_TERMS:
-        terms = [value for value, count in zip(values.tolist(), counts) for _ in range(count)]
-        return reduce(float.__add__, terms, 0.0)
-    ends = np.cumsum(reps)
-    total = 0.0
-    for lo in range(0, int(ends[-1]), _SUM_CHUNK):
-        at = np.searchsorted(ends, np.arange(lo, min(lo + _SUM_CHUNK, int(ends[-1]))), side="right")
-        with np.errstate(over="ignore"):  # bincount's sum overflows to inf silently
-            total = np.add.accumulate(np.append(total, values[at]))[-1]
-    return total
-
-
-def _run_sum(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``np.sum(np.repeat(row, counts))`` for each row of a ``(k, runs)`` stack,
-    bit for bit, without forming the arrays. numpy splits a block of more than
-    128 terms at half its length rounded down to a multiple of 8 and sums the
-    others as leaves, from 0.0. This follows it once for all rows, recursing
-    only into blocks that straddle a run boundary; a block inside one run is
-    summed once per (run, length). A leaf is summed by numpy, row by row from
-    0.0, which changes at most the sign of a zero sum; the final 0.0 + drops it."""
-    starts = [0, *np.cumsum(counts).tolist()]  # run j holds terms starts[j] to starts[j + 1] - 1
-
-    @cache
-    def block(lo: int, n: int, j: int) -> np.ndarray:  # run ``j`` holds term ``lo``; k sums
-        if starts[j] < lo and lo + n <= starts[j + 1]:  # inside one run: n alone matters
-            return block(starts[j], n, j)
-        if n > 128:
-            mid = lo + n // 2 - n // 2 % 8
-            return block(lo, mid - lo, j) + block(mid, lo + n - mid, bisect.bisect(starts, mid) - 1)
-        k = bisect.bisect_left(starts, lo + n, j)
-        cut = [min(max(start, lo), lo + n) for start in starts[j:k + 1]]  # runs j to k - 1 in the leaf
-        return np.repeat(stack[:, j:k], [b - a for a, b in zip(cut, cut[1:])], axis=1).sum(axis=1)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # inf or nan as np.sum gives, unwarned
-        return 0.0 + block(0, starts[-1], bisect.bisect(starts, 0) - 1)  # zeros when no terms
+def _exact_sum(stack: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Sum of ``counts[j] * row[j]`` for each row of a ``(k, runs)`` stack,
+    exact and rounded once: each finite term is an integer over the row's
+    common power-of-two denominator, and int true division rounds correctly.
+    A row holding inf or nan sums those as floats (inf + -inf is nan); a
+    finite sum past the float range is inf of its sign."""
+    counts, sums = counts.tolist(), []
+    for row in stack.tolist():
+        terms = [(x, c) for x, c in zip(row, counts) if c]
+        if special := [x for x, _ in terms if not math.isfinite(x)]:
+            sums.append(sum(special))
+            continue
+        ratios = [(x.as_integer_ratio(), c) for x, c in terms]
+        den = max([d for (_, d), _ in ratios], default=1)
+        total = sum(n * c * (den // d) for (n, d), c in ratios)
+        try:
+            sums.append(total / den)
+        except OverflowError:
+            sums.append(math.inf if total > 0 else -math.inf)
+    return np.array(sums, dtype=np.float64)
 
 
 def _image_terms(lam_u: float, lam_preimage: np.ndarray, p: float) -> np.ndarray:
@@ -365,8 +340,8 @@ def isometry_check(spec: ClassView, ratio_tol: float = 1e-12) -> IsometryVerdict
         int(np.searchsorted(spec._level_offsets, miss, side="right")) - 1 == spec._truncation_depth)
 
     def _failure(reason, u, total=0.0):
-        # ``total`` is the image's terms summed at their vertex positions, as
-        # norm_p groups them, so the norm is its dense one bit for bit
+        # ``total`` is the image's terms summed: at their vertex positions, as
+        # norm_p groups them, on a vertex operator; exactly on level classes
         return IsometryVerdict(False, reason, u, float(np.float64(total) ** (1.0 / p)), frontier_only)
 
     if not profile.injective:

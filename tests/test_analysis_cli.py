@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import tempfile
+import time
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -448,6 +449,16 @@ def test_numeric_fields_are_read_as_documents(tmp_path, capsys, overrides):
     assert capsys.readouterr().err.startswith("error: ")
     with pytest.raises(DocumentError):
         run_spectrum(read_analysis_spec(path))
+
+
+def test_repeated_schatten_exponents_are_found_in_linear_time():
+    started = time.perf_counter()
+    spec = parse_analysis_spec(base_doc(schatten_exponents=[1 + i / 64 for i in range(40_000)]))
+    assert time.perf_counter() - started < 1.0  # the quadratic scan took about 15 s
+    assert len(spec.schatten_exponents) == 40_000
+    with pytest.raises(DocumentError) as refused:  # 1 and 1.0 are one exponent
+        parse_analysis_spec(base_doc(schatten_exponents=[1, 2, 1.0]))
+    assert str(refused.value) == "analysis spec: Schatten exponent 1 is repeated"
 
 
 @pytest.mark.parametrize("overrides, key", [

@@ -2,22 +2,28 @@
 
 A spec with a generated tree, a family weight and a builtin map is analyzed
 by level classes. Forcing the vertex path on the same spec must give the
-same report text and spectrum CSV byte for byte, and the same refusal."""
+same refusal, and reports and spectrum CSVs that agree on every key, string,
+verdict, integer and witness. Their numbers may differ in the last digits:
+class sums are exact and rounded once, while vertex sums follow
+``np.bincount`` (preimage weights) and pairwise ``np.sum`` (sums over the
+vertices). The tests below pin each rule against exact rational sums."""
 
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spectree import analysis, compop
-from spectree.analysis import (parse_analysis_spec, read_analysis_spec, report_json, run_analyze,
-                               run_spectrum, spectrum_csv)
+from spectree.analysis import (parse_analysis_spec, read_analysis_spec, real_str, report_json,
+                               run_analyze, run_spectrum, spectrum_csv)
 from spectree.cli import main
+from spectree.schatten import schatten_sums
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 P_GRID = (1, 1.5, 2, 3)
@@ -57,13 +63,82 @@ def spectrum_outcome(doc):
         return type(exc), str(exc)
 
 
+REL_TOL = 1e-13  # an exact class sum against its vertex sum in numpy's order
+ORACLE_ULPS = 4  # of the largest singular value, for oracle.max_abs_difference
+WITNESSES = {"ratio_sup_witness", "operator_norm_witness", "witness_vertex"}  # vertex names
+
+
+def numbers_agree(got, want):
+    """Equal values, or numbers (numeric strings among them) within
+    ``REL_TOL`` relative of each other."""
+    if isinstance(got, str) and isinstance(want, str) and got != want:
+        try:
+            got, want = float(got), float(want)
+        except ValueError:
+            return False
+    if type(got) is float and type(want) is float:
+        return got == want or math.isclose(got, want, rel_tol=REL_TOL)
+    return type(got) is type(want) and got == want
+
+
+def assert_values_agree(got, want, at="report"):
+    """Parsed reports agree on every key and list length; witnesses are
+    equal, and every other leaf agrees as :func:`numbers_agree` says."""
+    if isinstance(got, dict) and isinstance(want, dict):
+        assert got.keys() == want.keys(), at
+        for key in got:
+            if key in WITNESSES:
+                assert got[key] == want[key], f"{at}.{key}"
+            else:
+                assert_values_agree(got[key], want[key], f"{at}.{key}")
+    elif isinstance(got, list) and isinstance(want, list):
+        assert len(got) == len(want), at
+        for i, (g, w) in enumerate(zip(got, want)):
+            assert_values_agree(g, w, f"{at}[{i}]")
+    else:
+        assert numbers_agree(got, want), (at, got, want)
+
+
+def assert_reports_agree(by_classes, by_vertex):
+    """Report texts agree as :func:`assert_values_agree` says, except that
+    each entry's ``oracle.max_abs_difference``, a difference of nearly equal
+    values, agrees absolutely: within a few ulps of the entry's largest
+    singular value."""
+    got, want = json.loads(by_classes), json.loads(by_vertex)
+    for g, w in zip(got.get("entries", []), want.get("entries", [])):
+        if not isinstance(g.get("oracle"), dict) or "max_abs_difference" not in g["oracle"]:
+            continue
+        a, b = g["oracle"].pop("max_abs_difference"), w["oracle"].pop("max_abs_difference", None)
+        bound = ORACLE_ULPS * math.ulp(float(g["top_singular_values"][0]))
+        assert b is not None and abs(float(a) - float(b)) <= bound, (a, b, bound)
+    assert_values_agree(got, want)
+
+
+def assert_csv_agree(by_classes, by_vertex):
+    """The same header, row count and ranks; singular values as
+    :func:`numbers_agree` says."""
+    got, want = by_classes.splitlines(), by_vertex.splitlines()
+    assert got[0] == want[0] and len(got) == len(want)
+    for g, w in zip(got[1:], want[1:]):
+        (g_rank, *g_values), (w_rank, *w_values) = g.split(","), w.split(",")
+        assert g_rank == w_rank and len(g_values) == len(w_values), (g, w)
+        assert all(map(numbers_agree, g_values, w_values)), (g, w)
+
+
 def assert_paths_agree(doc, run=outcome):
     assert analysis._by_level_classes(parse_analysis_spec(doc))
     by_classes = run(doc)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(analysis, "_by_level_classes", lambda spec: False)
         by_vertex = run(doc)
-    assert by_classes == by_vertex
+    if isinstance(by_classes, str):  # an analyze report
+        assert isinstance(by_vertex, str), by_vertex
+        assert_reports_agree(by_classes, by_vertex)
+    elif isinstance(by_classes[0], type) or isinstance(by_vertex[0], type):  # a refusal
+        assert by_classes == by_vertex
+    else:  # a spectrum report and its CSV
+        assert_reports_agree(by_classes[0], by_vertex[0])
+        assert_csv_agree(by_classes[1], by_vertex[1])
     return by_classes
 
 
@@ -133,37 +208,6 @@ def test_the_generator_cap_is_refused_alike_on_both_paths(tmp_path, capsys):
         assert main(["analyze", str(path)]) == 2
     assert capsys.readouterr().err == by_classes
     assert "refusing to materialize more than 5000000 vertices" in by_classes
-
-
-@settings(deadline=None)
-@given(st.lists(st.floats(1e-310, 1e308), min_size=1, max_size=6),
-       st.lists(st.integers(0, 40), min_size=6, max_size=6))
-def test_sequential_sum_is_the_bincount_sum(values, reps):
-    values, reps = np.array(values), np.array(reps[:len(values)])
-    reps[0] += 1  # a nonempty sum
-    want = np.bincount(np.zeros(int(reps.sum()), dtype=np.int64),
-                       weights=np.repeat(values, reps))[0]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(compop, "_SUM_CHUNK", 7)  # several chunks, and runs split across them
-        patch.setattr(compop, "_LOOP_TERMS", 0)  # so that these few terms take numpy
-        assert compop._sequential_sum(values, reps) == want
-    assert compop._sequential_sum(values, reps) == want
-
-
-@pytest.mark.parametrize("terms", [2, compop._LOOP_TERMS, compop._LOOP_TERMS + 1, 5000])
-def test_sequential_sum_is_the_bincount_sum_on_both_sides_of_the_loop_bound(terms):
-    rng = np.random.default_rng(terms)
-    specials = [1e308, 5e-324, 1.0, 2.0 ** -52, 0.1]
-    for _ in range(200):
-        runs = int(rng.integers(1, min(terms, 8) + 1))
-        reps = np.diff(np.sort(np.append(rng.choice(np.arange(1, terms), runs - 1, replace=False),
-                                         [0, terms])))
-        values = np.where(rng.random(runs) < 0.3, rng.choice(specials, runs),
-                          10.0 ** rng.uniform(-300, 300, runs))
-        want = np.bincount(np.zeros(terms, dtype=np.int64), weights=np.repeat(values, reps))[0]
-        assert compop._sequential_sum(values, reps) == want, (values, reps)
-    # overflow to inf, as bincount's sum does, without a warning
-    assert compop._sequential_sum(np.array([1e308]), np.array([terms])) == math.inf
 
 
 SPECTRUM_MAPS = [{"builtin": "identity"}, {"builtin": "parent"},
@@ -255,8 +299,9 @@ def test_spectrum_past_the_oracle_cap_peaks_below_one_mib():
         assert peak < 2 ** 20, f"{peak / 2 ** 20:.2f} MiB at {vertices} vertices"
 
 
-EXTREMES = [1 / 3, 1e300, 5e-324, 1e308, 0.0, -0.0, -2.5, math.inf]
-VALUES = st.floats(allow_nan=False) | st.sampled_from(EXTREMES)
+EXTREMES = [1 / 3, 1e300, 5e-324, 1e308, 0.0, -0.0, -2.5, math.inf, -math.inf, math.nan]
+VALUES = st.floats() | st.sampled_from(EXTREMES)
+COUNTS = st.integers(0, 300) | st.sampled_from([0, 7, 8, 128, 129, 40_000, 2 ** 40])
 
 
 def same_sum(got, want):
@@ -264,18 +309,83 @@ def same_sum(got, want):
             or math.isnan(got) and math.isnan(want))
 
 
+def exact_reference(row, counts):
+    """The sum of ``count * value`` over the terms with a nonzero count, by
+    ``Fraction``, rounded once to a float; inf and nan as IEEE adds them."""
+    terms = [(x, c) for x, c in zip(row, counts) if c]
+    special = [x for x, _ in terms if not math.isfinite(x)]
+    if special:
+        return special[0] if all(x == special[0] for x in special) else math.nan
+    total = sum(Fraction(x) * c for x, c in terms)
+    try:
+        return float(total)
+    except OverflowError:  # float() of a Fraction past the float range
+        return math.inf if total > 0 else -math.inf
+
+
 @settings(deadline=None)
-@given(st.lists(st.tuples(VALUES, VALUES,
-                          st.integers(0, 300) | st.sampled_from([0, 7, 8, 128, 129, 40_000])),
-                max_size=8))
-def test_run_sum_is_the_numpy_sum_of_the_runs(runs):
-    # a two-row stack: each row's sum is its one-row call's and np.sum's
+@given(st.lists(st.tuples(VALUES, VALUES, COUNTS), max_size=8))
+@example([(1e308, -1e308, 2), (1.0, -1.0, 1)])  # overflow to inf and -inf
+@example([(math.inf, math.nan, 1), (-math.inf, 1.0, 3)])  # inf + -inf, and nan
+@example([(-0.0, 5e-324, 2 ** 40), (-0.0, -5e-324, 2 ** 40)])  # a signed zero; subnormals
+def test_exact_sum_is_the_correctly_rounded_sum_of_the_runs(runs):
+    # a two-row stack: each row's sum is its one-row call's and the exact one's
     stack = np.array([[r[0] for r in runs], [r[1] for r in runs]], dtype=np.float64)
     counts = np.array([c for *_, c in runs], dtype=np.int64)
-    got = compop._run_sum(stack, counts)
+    got = compop._exact_sum(stack, counts)
     assert got.shape == (2,)
-    for row, row_sum in zip(stack, got):
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = np.sum(np.repeat(row, counts))
-        assert same_sum(row_sum, want)
-        assert same_sum(compop._run_sum(row[None], counts)[0], want)
+    for row, row_sum in zip(stack.tolist(), got):
+        want = exact_reference(row, counts.tolist())
+        assert same_sum(row_sum, want), (row, row_sum, want)
+        assert same_sum(compop._exact_sum(np.array([row]), counts)[0], want)
+
+
+def test_a_two_million_term_preimage_sums_exactly():
+    # level_shift(20) sends every vertex above depth 21 to the root: one
+    # preimage of 2,097,151 terms, summed in O(levels)
+    doc = spec_doc({"generator": "bary", "branching": 2}, WEIGHTS[1],
+                   {"builtin": "level_shift", "params": {"k": 20}}, 2, [21])
+    (view, sizes, _), = analysis._analyzed(parse_analysis_spec(doc))
+    assert sizes["vertex_count"] == 2 ** 22 - 1 and view.weights[0] == 1.0
+    preimage = sum(Fraction(float(view.weights[n])) * 2 ** n for n in range(21))
+    assert view.profile.preimage_count[0] == 2 ** 21 - 1
+    assert view._h[0] == float(preimage)  # w(root) is 1
+    hs_squared = sum(Fraction(float(h)) * int(c) for h, c in zip(view._h, view._class_sizes))
+    assert schatten_sums(view, [2.0])[0] == float(hs_squared)
+
+
+def gamma(n):
+    """Higham's bound on the relative error of a float sum of n positive
+    terms in any order, nu / (1 - nu) with u the unit roundoff
+    (Accuracy and Stability of Numerical Algorithms, 2002, section 4.2)."""
+    nu = n * 2.0 ** -53
+    return nu / (1 - nu)
+
+
+@pytest.mark.parametrize("tree", [{"generator": "bary", "branching": 2},
+                                  {"generator": "bary", "branching": 3, "branch_until": 2}])
+@pytest.mark.parametrize("symbol", [{"builtin": "level_shift", "params": {"k": 2}},
+                                    {"builtin": "depth_square"}])
+def test_each_path_sums_by_its_rule(tree, symbol):
+    # the specs of the spectrum golden reports whose digits the exact class sums
+    # changed: each class sum is the exact one, each vertex sum within gamma_n of it
+    doc = spec_doc(tree, WEIGHTS[1], symbol, 2, [1, 2, 4]) | {"schatten_exponents": [1, 2, 3]}
+    spec, qs = parse_analysis_spec(doc), [1.0, 2.0, 3.0, 2.0]  # the report's q = 2 row, then hs_norm's
+    for by_classes in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(analysis, "_by_level_classes", lambda spec, keep=by_classes: keep)
+            report, _ = run_spectrum(spec)
+            views = [view for view, *_ in analysis._analyzed(spec)]
+        for entry, view in zip(report["entries"], views):
+            sums = schatten_sums(view, qs).tolist()
+            assert entry["schatten_sums"] == {real_str(q): real_str(s) for q, s in zip(qs[:3], sums)}
+            assert entry["hs_norm"] == real_str(math.sqrt(sums[-1]))
+            for q, got in zip(qs, sums):
+                exact = sum(Fraction(t) * c for t, c in zip((view._h ** (q / 2)).tolist(),
+                                                             view._class_sizes.tolist()))
+                if by_classes:
+                    assert got == float(exact), (q, got, exact)
+                else:
+                    n = entry["vertex_count"]
+                    assert abs(Fraction(got) - exact) <= Fraction(gamma(n)) * exact, (q, got, exact)
+
