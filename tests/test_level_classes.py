@@ -10,6 +10,7 @@ vertices). The tests below pin each rule against exact rational sums."""
 
 import json
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -389,3 +390,92 @@ def test_each_path_sums_by_its_rule(tree, symbol):
                     n = entry["vertex_count"]
                     assert abs(Fraction(got) - exact) <= Fraction(gamma(n)) * exact, (q, got, exact)
 
+
+
+def assert_near_exact(rounded, row, counts):
+    """``rounded``, a float sum of ``counts[j]`` copies of each ``row[j]`` in
+    some order, is within gamma_n of the sum of the absolute terms of the
+    exact sum (Higham, section 4.2); if it is not finite, a partial sum
+    overflowed, which needs that sum near the float maximum."""
+    n = sum(counts)
+    total = sum(Fraction(x) * c for x, c in zip(row, counts))
+    size = sum(abs(Fraction(x)) * c for x, c in zip(row, counts))
+    if math.isfinite(rounded):
+        assert abs(Fraction(rounded) - total) <= Fraction(gamma(n)) * size, (rounded, total)
+    else:
+        assert size * (1 + Fraction(gamma(n))) >= Fraction(sys.float_info.max), (rounded, size)
+
+
+def sequential(terms):
+    """The left-to-right float sum of ``terms``, as ``np.bincount`` adds a bin."""
+    total = 0.0
+    for x in terms:
+        total += x
+    return total
+
+
+def rounds_nowhere(terms):
+    """Whether every left-to-right partial sum of ``terms`` is a float."""
+    total = Fraction(0)
+    for x in terms:
+        total += Fraction(x)
+        if abs(total) > sys.float_info.max or Fraction(float(total)) != total:
+            return False
+    return True
+
+
+def assert_bincount_sum(values, reps):
+    """The vertex path's preimage weight, the ``np.bincount`` sum of
+    ``reps[j]`` copies of each ``values[j]``, is their sequential sum: within
+    gamma_n of the exact class sum, and equal to it where no step rounds."""
+    terms = np.repeat(values, reps)
+    want = np.bincount(np.zeros(terms.size, dtype=np.int64), weights=terms)[0]
+    assert want == sequential(terms.tolist())
+    assert_near_exact(want, values.tolist(), reps.tolist())
+    if rounds_nowhere(terms.tolist()):
+        assert compop._exact_sum(values[None], reps)[0] == want, (values, reps)
+
+
+DYADIC = st.builds(math.ldexp, st.integers(1, 2 ** 10), st.integers(-20, 0))  # sums that round nowhere
+
+
+@settings(deadline=None)
+@given(st.lists(st.floats(1e-310, 1e308) | DYADIC, min_size=1, max_size=6),
+       st.lists(st.integers(0, 40), min_size=6, max_size=6))
+def test_sequential_sum_is_the_bincount_sum(values, reps):
+    values, reps = np.array(values), np.array(reps[:len(values)])
+    reps[0] += 1  # a nonempty sum
+    assert_bincount_sum(values, reps)
+
+
+# 384 terms bounded an earlier Python-loop replay of bincount's order; the
+# counts stay as sizes on both sides of it and well past it
+@pytest.mark.parametrize("terms", [2, 384, 385, 5000])
+def test_sequential_sum_is_the_bincount_sum_on_both_sides_of_the_loop_bound(terms):
+    rng = np.random.default_rng(terms)
+    specials = [1e308, 5e-324, 1.0, 2.0 ** -52, 0.1]
+    for _ in range(200):
+        runs = int(rng.integers(1, min(terms, 8) + 1))
+        reps = np.diff(np.sort(np.append(rng.choice(np.arange(1, terms), runs - 1, replace=False),
+                                         [0, terms])))
+        values = np.where(rng.random(runs) < 0.3, rng.choice(specials, runs),
+                          10.0 ** rng.uniform(-300, 300, runs))
+        assert_bincount_sum(values, reps)
+    # overflow to inf, as bincount's sum does, without a warning
+    assert compop._exact_sum(np.array([[1e308]]), np.array([terms]))[0] == math.inf
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(VALUES.filter(math.isfinite), VALUES.filter(math.isfinite),
+                          st.integers(0, 300) | st.sampled_from([0, 7, 8, 128, 129, 40_000])),
+                max_size=8))
+def test_run_sum_is_the_numpy_sum_of_the_runs(runs):
+    # the vertex path sums over the vertices by pairwise np.sum: on each row of a
+    # two-row stack of runs, within gamma_n of the class path's exact sum
+    stack = np.array([[r[0] for r in runs], [r[1] for r in runs]], dtype=np.float64)
+    counts = np.array([c for *_, c in runs], dtype=np.int64)
+    for row, row_sum in zip(stack, compop._exact_sum(stack, counts)):
+        assert same_sum(row_sum, exact_reference(row.tolist(), counts.tolist()))
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairwise = np.sum(np.repeat(row, counts))
+        assert_near_exact(pairwise, row.tolist(), counts.tolist())
