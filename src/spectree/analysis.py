@@ -427,6 +427,7 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
             "singular values are not defined for other exponents here")
     entries = []
     sums_by_q: dict[float, list[float]] = {q: [] for q in spec.schatten_exponents}
+    oracle_ops = _oracle_operators(spec)  # level classes only; it builds at the first next()
     for depth, (view, sizes, _) in zip(spec.depth_ladder, _analyzed(spec)):
         n = sizes["vertex_count"]
         values, counts = singular_value_classes(view)
@@ -442,8 +443,7 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
         else:
             # every oracle figure is read off the dense matrix, none off the analytic
             # path; on level classes the matrix needs the entry's vertex operator
-            matrix = oracle_mod.matrix_of(view if isinstance(view, OperatorSpec) else
-                                          next(_operators(replace(spec, depth_ladder=(depth,)))))
+            matrix = oracle_mod.matrix_of(view if isinstance(view, OperatorSpec) else next(oracle_ops))
             oracle_values = oracle_mod.svd_values(matrix)
             trace = float(np.trace(matrix))
             del matrix  # n^2 floats; freed before the next, larger entry is formed
@@ -476,6 +476,14 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
     report["schatten_trends"] = {
         real_str(q): schatten_trend(sums_by_q[q]) for q in spec.schatten_exponents}
     return report, (values, counts, oracle_values)
+
+
+def _oracle_operators(spec: AnalysisSpec) -> Iterator[OperatorSpec]:
+    """The level-class entries within the oracle cap as vertex operators, from one build."""
+    source = spec.tree_source
+    start = bary_level_start(source["branching"], spec.depth_ladder[-1], source.get("branch_until"))
+    ladder = tuple(d for d in spec.depth_ladder if start[d + 1] <= spec.oracle_max_vertices)
+    yield from _operators(replace(spec, depth_ladder=ladder))  # built at the deepest of them
 
 
 def spectrum_csv(values: np.ndarray, multiplicities: np.ndarray,

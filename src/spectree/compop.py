@@ -65,7 +65,8 @@ class ClassView:
 
     A vertex operator sums in numpy's orders: preimage weights as
     ``np.bincount``, sums over the vertices (``_preimage_sum`` too) as
-    pairwise ``np.sum``. Level classes sum exactly, rounded once."""
+    pairwise ``np.sum``. Level classes sum exactly, rounded once: a one-level
+    preimage of at most 2**53 vertices as one product, count times weight."""
 
     @cached_property
     def _h_tail(self) -> np.ndarray:
@@ -170,10 +171,10 @@ class LevelClassSpec(ClassView):
     def _h(self) -> np.ndarray:
         c, lam = self.classes, self.weights
         level = np.repeat(np.arange(lam.size), np.diff(c.class_start))
-        # a sum of one preimage weight is that weight (``take`` clips the D + 1 an empty
-        # class may hold); the few larger sums, of branching levels and the root, loop
-        sums = np.where(c.preimage_count > 0, lam.take(c.source_lo, mode="clip"), 0.0)
-        for i in np.flatnonzero(c.preimage_count > 1).tolist():
+        # a one-level preimage sums to count times weight, rounded once (``take`` clips the D + 1
+        # of an empty class); several levels (the root's under a lift) and counts past 2**53 loop
+        sums = c.preimage_count * lam.take(c.source_lo, mode="clip")
+        for i in np.flatnonzero((c.source_hi - c.source_lo > 1) | (c.preimage_count > 2 ** 53)):
             levels, reps = self._preimage_runs(i)
             sums[i] = _exact_sum(lam[levels][None], reps)[0]
         return _read_only(np.divide(sums, lam[level], out=sums))

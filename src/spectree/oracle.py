@@ -115,21 +115,28 @@ def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a))[::-1]
 
 
+def _gram(matrix: np.ndarray) -> np.ndarray:
+    """``matrix.T @ matrix``, by BLAS over the rows with two or more nonzeros: the
+    others reach no off-diagonal entry. The diagonal is each column's sum of squares."""
+    rows = np.count_nonzero(matrix, axis=1) > 1  # its n^2 mask is freed on return
+    dense = matrix if rows.all() else matrix[rows]  # a dense matrix is not copied
+    gram = dense.T @ dense
+    np.fill_diagonal(gram, np.einsum("ij,ij->j", matrix, matrix))
+    return gram
+
+
 def svd_values(matrix: np.ndarray) -> np.ndarray:
     """All singular values of a real matrix, descending.
 
-    Formed as square roots of the eigenvalues of the smaller Gram matrix,
-    which is symmetric positive semidefinite; tiny negative eigenvalues from
-    roundoff are clipped to zero.
+    Formed as square roots of the eigenvalues of the smaller Gram matrix (by
+    :func:`_gram`, with no n^3 product on a composition matrix), which is symmetric
+    positive semidefinite; tiny negative eigenvalues from roundoff are clipped to zero.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {matrix.shape}")
-    rows, cols = matrix.shape
-    # prefer the column Gram on ties: matrices with at most one nonzero per
-    # row make it diagonal, so the rotations converge immediately and exactly
-    gram = matrix.T @ matrix if cols <= rows else matrix @ matrix.T
-    eig = jacobi_eigenvalues(gram)
+    # wide matrices are transposed, so ties keep the column Gram, diagonal at one nonzero a row
+    eig = jacobi_eigenvalues(_gram(matrix.T if matrix.shape[1] > matrix.shape[0] else matrix))
     return np.sqrt(np.clip(eig, 0.0, None))
 
 

@@ -137,8 +137,7 @@ def suite_isometry(seed: int) -> dict:
         rec.check(witness_ok, "non-isometry witness function does not deviate", op_bad)
 
         op2 = OperatorSpec(tree, weight, symbol, 2.0)
-        gram = oracle.matrix_of(op2)
-        gram = gram.T @ gram
+        gram = oracle._gram(oracle.matrix_of(op2))
         orthogonal = bool(np.max(np.abs(gram - np.eye(len(tree)))) <= 1e-10)
         rec.check(orthogonal == isometry_check(op2).is_isometry,
                   "isometry verdict disagrees with the oracle Gram identity", op2)

@@ -25,6 +25,7 @@ from spectree.analysis import (parse_analysis_spec, read_analysis_spec, real_str
                                run_analyze, run_spectrum, spectrum_csv)
 from spectree.cli import main
 from spectree.schatten import schatten_sums
+from spectree.selfmap import level_classes
 
 BENCH_DOCS = Path(__file__).resolve().parents[1] / "perfbench" / "docs"
 P_GRID = (1, 1.5, 2, 3)
@@ -264,7 +265,8 @@ def test_spectrum_csv_files_agree(tmp_path):
 
 
 def test_spectrum_ladder_takes_the_class_path(monkeypatch):
-    # only the entries the oracle checks form a tree, and they are formed at their own depth
+    # only the entries the oracle checks need a vertex operator, and one tree serves
+    # them all: it is built at the deepest of them and truncated to each
     spec = read_analysis_spec(BENCH_DOCS / "spectrum_ladder.json")
     assert analysis._by_level_classes(spec)
     built, original = [], analysis.build_bary
@@ -277,7 +279,7 @@ def test_spectrum_ladder_takes_the_class_path(monkeypatch):
     report, _ = run_spectrum(spec)
     assert [e["vertex_count"] for e in report["entries"]] == [127, 255, 511, 262143]
     assert [e["oracle"]["checked"] for e in report["entries"]] == [True, True, True, False]
-    assert built == [6, 7, 8]
+    assert built == [8]
 
 
 def test_spectrum_past_the_oracle_cap_peaks_below_one_mib():
@@ -353,6 +355,60 @@ def test_a_two_million_term_preimage_sums_exactly():
     assert view._h[0] == float(preimage)  # w(root) is 1
     hs_squared = sum(Fraction(float(h)) * int(c) for h, c in zip(view._h, view._class_sizes))
     assert schatten_sums(view, [2.0])[0] == float(hs_squared)
+
+
+def class_sums_by_runs(view):
+    """Each class's h by :func:`compop._exact_sum` of its preimage runs, over
+    the weight of the class's level."""
+    level = np.repeat(np.arange(view.weights.size), np.diff(view.classes.class_start))
+    sums = []
+    for i in range(view.classes.first.size):
+        levels, reps = view._preimage_runs(i)
+        sums.append(compop._exact_sum(view.weights[levels][None], reps)[0])
+    return np.array(sums) / view.weights[level]
+
+
+@pytest.mark.parametrize("branching", [1, 2, 3, 4])
+def test_h_is_the_exact_sum_of_the_preimage_runs(branching):
+    # a preimage in one level sums as one product, the rest by _exact_sum: alike bit for bit
+    for depth in (0, 1, 2, 3, 5):
+        for branch_until in (None, 0, 1, depth - 1):
+            if branch_until is not None and branch_until < 0:
+                continue
+            tree = {"generator": "bary", "branching": branching, "branch_until": branch_until}
+            for weight in WEIGHTS + [{"family": "geometric", "params": {"ratio": 0.3}}]:
+                for symbol in map_docs(depth):
+                    doc = spec_doc(tree, weight, symbol, 2, [depth])
+                    (view, *_), = analysis._analyzed(parse_analysis_spec(doc))
+                    assert np.array_equal(view._h, class_sums_by_runs(view)), doc
+
+
+@pytest.mark.parametrize("lift", [1, 2])
+def test_a_preimage_count_past_2_53_takes_the_exact_sum(monkeypatch, lift):
+    # levels of 1, 1 and 2**53 + 3 vertices: under the parent map (lift 1) the
+    # root's preimage spreads over two levels, and the vertex of level 1 has a
+    # one-level preimage of 2**53 + 3, which is no float; under lift 2 the
+    # root's preimage is all 2**53 + 5 vertices
+    start = np.cumsum([0, 1, 1, 2 ** 53 + 3])
+    weights = np.array([1.0, 0.7, 3.0])
+    view = compop.LevelClassSpec(start, weights, level_classes(lift, start), 2.0)
+    summed, exact_sum = [], compop._exact_sum
+
+    def counted(stack, counts):
+        summed.append(int(counts.sum()))
+        return exact_sum(stack, counts)
+
+    monkeypatch.setattr(compop, "_exact_sum", counted)
+    h = view._h
+    assert summed == ([2, 2 ** 53 + 3] if lift == 1 else [2 ** 53 + 5])
+    want = []
+    for i, level in enumerate([0, 1, 2]):
+        levels, reps = view._preimage_runs(i)
+        exact = sum(Fraction(float(weights[n])) * int(r) for n, r in zip(levels, reps))
+        want.append(float(exact) / weights[level])
+    assert h.tolist() == want
+    # one product would round the count first: 3 * float(2**53 + 3) is not the exact sum
+    assert 3.0 * float(2 ** 53 + 3) != float(3 * (2 ** 53 + 3))
 
 
 def gamma(n):

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectree import (OperatorSpec, basis_vector, build_bary, compactness_profile,
                       constant_weight, custom_weight, frobenius_norm,
@@ -234,6 +236,77 @@ def test_svd_matches_numpy_on_random_rectangular_matrices():
         ref = np.linalg.svd(m, compute_uv=False)
         assert ours.shape == ref.shape
         assert float(np.max(np.abs(ours - ref))) <= 1e-10
+
+
+# entries of either sign, 2**-30 to 2**30 in size: no product underflows or overflows
+ENTRIES = st.builds(math.copysign, st.floats(2.0 ** -30, 2.0 ** 30), st.sampled_from([1.0, -1.0]))
+
+
+@st.composite
+def row_sparse_matrices(draw):
+    """Tall, wide, square and empty matrices whose rows hold 0, 1 or several nonzeros."""
+    rows, cols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    m = np.zeros((rows, cols))
+    for row in m:
+        places = draw(st.lists(st.integers(0, cols - 1), max_size=min(cols, 4), unique=True)
+                      if cols else st.just([]))
+        row[places] = draw(st.lists(ENTRIES, min_size=len(places), max_size=len(places)))
+    return m
+
+
+def gamma(n):
+    """n eps / (1 - n eps), eps = 2**-52: twice Higham's bound on the relative
+    error of an n-term dot product in any order (Accuracy and Stability of
+    Numerical Algorithms, 2002, section 3.1), so it bounds the gap between two
+    such products."""
+    n_eps = n * 2.0 ** -52
+    return n_eps / (1 - n_eps)
+
+
+@settings(deadline=None)
+@given(row_sparse_matrices())
+def test_gram_is_the_blas_gram_and_diagonal_without_dense_rows(m):
+    # svd_values forms the Gram of a wide matrix's transpose
+    tall = m.T if m.shape[1] > m.shape[0] else m
+    gram, blas = oracle_mod._gram(tall), tall.T @ tall
+    norms = np.sqrt(np.einsum("ij,ij->j", tall, tall))
+    assert gram.shape == blas.shape
+    assert (np.abs(gram - blas) <= gamma(tall.shape[0]) * np.outer(norms, norms)).all()
+    if (np.count_nonzero(tall, axis=1) <= 1).all():  # no row reaches off the diagonal
+        assert (gram[~np.eye(len(gram), dtype=bool)] == 0.0).all()
+    # a Gram method resolves squared singular values to roundoff of sigma_max**2
+    ours, ref = svd_values(m), np.linalg.svd(m, compute_uv=False)
+    assert ours.shape == ref.shape
+    if ref.size:
+        assert (np.abs(ours ** 2 - ref ** 2) <= 1e-12 * ref[0] ** 2).all()
+
+
+@settings(deadline=None)
+@given(row_sparse_matrices().filter(lambda m: m.size),
+       st.sampled_from([math.nan, math.inf, -math.inf]), st.integers(0, 48))
+def test_svd_values_rejects_a_nonfinite_entry_anywhere(m, bad, at):
+    m.flat[at % m.size] = bad
+    # inf times a zero of a dense row is nan in the product, as it was before
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="entries must be finite"):
+        svd_values(m)
+
+
+def test_a_matrix_with_dense_rows_reaches_blas():
+    # row 0 reaches off the diagonal; rows 1 to 3 hold at most one nonzero each
+    m = np.array([[1.0, 2.0, 3.0], [0.0, 4.0, 0.0], [0.0, 0.0, 0.0], [5.0, 0.0, 0.0]])
+    dense = np.arange(1.0, 7.0).reshape(3, 2)
+    products = []  # the right operand of each product
+    matmul = np.ndarray.__matmul__
+
+    class Spy(np.ndarray):
+        def __matmul__(self, other):
+            products.append(other)
+            return matmul(np.asarray(self), np.asarray(other))
+
+    assert np.array_equal(oracle_mod._gram(m.view(Spy)), m.T @ m)
+    assert products[0].shape == (1, 3)  # the one dense row
+    assert np.array_equal(oracle_mod._gram(dense.view(Spy)), dense.T @ dense)
+    assert np.shares_memory(products[1], dense)  # a matrix of dense rows is not copied
 
 
 def test_frobenius_identity_ties_spectrum_to_preimage_ratios():
