@@ -443,10 +443,10 @@ def run_spectrum(spec: AnalysisSpec) -> tuple[dict, tuple]:
         else:
             # every oracle figure is read off the dense matrix, none off the analytic
             # path; on level classes the matrix needs the entry's vertex operator
-            matrix = oracle_mod.matrix_of(view if isinstance(view, OperatorSpec) else next(oracle_ops))
-            oracle_values = oracle_mod.svd_values(matrix)
-            trace = float(np.trace(matrix))
-            del matrix  # n^2 floats; freed before the next, larger entry is formed
+            held = [oracle_mod.matrix_of(view if isinstance(view, OperatorSpec) else next(oracle_ops))]
+            trace = float(np.trace(held[0]))
+            # the last reference goes in: svd_values frees the matrix before its Gram
+            oracle_values = oracle_mod.svd_values(held.pop())
             analytic = np.repeat(values, counts)
             oracle_entry.update({
                 "checked": True,

@@ -11,8 +11,9 @@ Dense storage makes this a desk-scale tool; callers are expected to skip
 oracle checks above a few hundred vertices (600 by default in the reporting
 layer) and say so in their reports. An experiment document may raise that cap
 to at most 4096 vertices: the matrix and its Gram product are then 134 MB each.
-The Jacobi solver copies the Gram only before its first rotation, so the
-diagonal Gram of a composition operator costs no third such array.
+A caller that hands over the matrix holds one of the two at a time, and the
+Jacobi solver copies the Gram only before its first rotation, which the
+diagonal Gram of a composition operator never needs.
 """
 
 from __future__ import annotations
@@ -115,13 +116,18 @@ def jacobi_eigenvalues(sym: np.ndarray) -> np.ndarray:
     return np.sort(np.diag(a))[::-1]
 
 
-def _gram(matrix: np.ndarray) -> np.ndarray:
-    """``matrix.T @ matrix``, by BLAS over the rows with two or more nonzeros: the
-    others reach no off-diagonal entry. The diagonal is each column's sum of squares."""
+def _gram_parts(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What :func:`_gram` reads of a matrix: the rows with two or more nonzeros (the
+    others reach no off-diagonal entry) and each column's sum of squares."""
     rows = np.count_nonzero(matrix, axis=1) > 1  # its n^2 mask is freed on return
     dense = matrix if rows.all() else matrix[rows]  # a dense matrix is not copied
+    return dense, np.einsum("ij,ij->j", matrix, matrix)
+
+
+def _gram(dense: np.ndarray, squares: np.ndarray) -> np.ndarray:
+    """``matrix.T @ matrix`` from ``_gram_parts(matrix)``, by BLAS over the dense rows."""
     gram = dense.T @ dense
-    np.fill_diagonal(gram, np.einsum("ij,ij->j", matrix, matrix))
+    np.fill_diagonal(gram, squares)
     return gram
 
 
@@ -131,12 +137,16 @@ def svd_values(matrix: np.ndarray) -> np.ndarray:
     Formed as square roots of the eigenvalues of the smaller Gram matrix (by
     :func:`_gram`, with no n^3 product on a composition matrix), which is symmetric
     positive semidefinite; tiny negative eigenvalues from roundoff are clipped to zero.
+    The matrix is read before the Gram is allocated, so a caller that passes its last
+    reference (as ``spectrum`` does) never holds a composition matrix and its Gram at once.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {matrix.shape}")
     # wide matrices are transposed, so ties keep the column Gram, diagonal at one nonzero a row
-    eig = jacobi_eigenvalues(_gram(matrix.T if matrix.shape[1] > matrix.shape[0] else matrix))
+    parts = _gram_parts(matrix.T if matrix.shape[1] > matrix.shape[0] else matrix)
+    del matrix  # a composition matrix's parts hold none of it
+    eig = jacobi_eigenvalues(_gram(*parts))
     return np.sqrt(np.clip(eig, 0.0, None))
 
 

@@ -1,6 +1,7 @@
 import math
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spectree import (OperatorSpec, basis_vector, build_bary, compactness_profil
                       singular_values_analytic, svd_values, tail_defect)
 from spectree import lpspace
 from spectree import oracle as oracle_mod
+from spectree.analysis import parse_analysis_spec, read_analysis_spec, real_str, run_spectrum
 from spectree.instances import (random_bary_tree, random_bounded_multiplicity_map,
                                 random_injective_spec, random_multiplicity_spec,
                                 random_permutation_map, random_weight)
@@ -228,6 +230,54 @@ def test_svd_values_peaks_below_a_quarter_above_the_gram():
     assert peak < 1.25 * gram_bytes, f"{peak / gram_bytes:.2f} Grams"
 
 
+def test_spectrum_oracle_holds_one_n_by_n_array_at_a_time():
+    # binary depth 10 under the raised cap: the dense matrix and its Gram are
+    # 8 n^2 bytes each, and run_spectrum frees the matrix before the Gram is formed
+    spec = parse_analysis_spec({
+        "tree": {"generator": "bary", "branching": 2},
+        "weight": {"family": "geometric", "params": {"ratio": 0.5}},
+        "map": {"builtin": "parent"}, "p": 2, "depth_ladder": [10],
+        "oracle": {"enabled": True, "max_vertices": 2047}})
+    array_bytes = 8 * 2047 ** 2
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report, _ = run_spectrum(spec)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert report["entries"][0]["oracle"]["checked"]
+    assert peak < 1.25 * array_bytes, f"{peak / array_bytes:.2f} n^2 arrays"
+
+
+def test_spectrum_ladder_oracle_solves_each_checked_gram_once(monkeypatch):
+    # the oracle does the numerical work it reports: one Jacobi solve of the full
+    # n x n Gram per checked entry, and the entry's figures are those of
+    # svd_values and np.trace on the entry's dense matrix
+    spec = read_analysis_spec(Path(__file__).resolve().parents[1]
+                              / "perfbench" / "docs" / "spectrum_ladder.json")
+    expected = []
+    for depth in (6, 7, 8):
+        t = build_bary(2, depth)
+        m = matrix_of(spec2(t, geometric_weight(t, 0.5), parent_map(t)))
+        expected.append((svd_values(m), float(np.trace(m))))
+    shapes, values = [], []
+    jacobi, svd = oracle_mod.jacobi_eigenvalues, oracle_mod.svd_values
+    monkeypatch.setattr(oracle_mod, "jacobi_eigenvalues",
+                        lambda sym: shapes.append(sym.shape) or jacobi(sym))
+    monkeypatch.setattr(oracle_mod, "svd_values", lambda m: values.append(svd(m)) or values[-1])
+    report, _ = run_spectrum(spec)
+    assert shapes == [(127, 127), (255, 255), (511, 511)]
+    assert len(values) == 3
+    for entry, got, (want, trace) in zip(report["entries"], values, expected):
+        assert np.array_equal(got, want)
+        oracle = entry["oracle"]
+        assert float(oracle["trace"]) == trace and oracle["trace"] == real_str(trace)
+        assert oracle["hs_norm"] == real_str(float(np.sqrt(np.sum(want ** 2))))
+        assert oracle["schatten_sums"] == {real_str(q): real_str(float(np.sum(want ** q)))
+                                           for q in spec.schatten_exponents}
+
+
 def test_svd_matches_numpy_on_random_rectangular_matrices():
     rng = np.random.default_rng(4)
     for shape in ((6, 6), (8, 3), (3, 8), (25, 25)):
@@ -268,7 +318,7 @@ def gamma(n):
 def test_gram_is_the_blas_gram_and_diagonal_without_dense_rows(m):
     # svd_values forms the Gram of a wide matrix's transpose
     tall = m.T if m.shape[1] > m.shape[0] else m
-    gram, blas = oracle_mod._gram(tall), tall.T @ tall
+    gram, blas = oracle_mod._gram(*oracle_mod._gram_parts(tall)), tall.T @ tall
     norms = np.sqrt(np.einsum("ij,ij->j", tall, tall))
     assert gram.shape == blas.shape
     assert (np.abs(gram - blas) <= gamma(tall.shape[0]) * np.outer(norms, norms)).all()
@@ -303,9 +353,9 @@ def test_a_matrix_with_dense_rows_reaches_blas():
             products.append(other)
             return matmul(np.asarray(self), np.asarray(other))
 
-    assert np.array_equal(oracle_mod._gram(m.view(Spy)), m.T @ m)
+    assert np.array_equal(oracle_mod._gram(*oracle_mod._gram_parts(m.view(Spy))), m.T @ m)
     assert products[0].shape == (1, 3)  # the one dense row
-    assert np.array_equal(oracle_mod._gram(dense.view(Spy)), dense.T @ dense)
+    assert np.array_equal(oracle_mod._gram(*oracle_mod._gram_parts(dense.view(Spy))), dense.T @ dense)
     assert np.shares_memory(products[1], dense)  # a matrix of dense rows is not copied
 
 
