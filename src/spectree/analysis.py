@@ -9,6 +9,7 @@ reproduce byte-identical output.
 
 from __future__ import annotations
 
+import collections
 import json
 import math
 from dataclasses import dataclass, replace
@@ -230,9 +231,9 @@ def parse_analysis_spec(document: Mapping, base_dir: Path | str = ".") -> Analys
 
 def _strict_object(pairs: list) -> dict:
     obj = dict(pairs)
-    if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise ValueError(f"duplicate key '{next(k for k in keys if keys.count(k) > 1)}'")
+    if len(obj) < len(pairs):  # name the first key, in document order, that occurs twice
+        count = collections.Counter(k for k, _ in pairs)
+        raise ValueError(f"duplicate key '{next(k for k, _ in pairs if count[k] > 1)}'")
     return obj
 
 

@@ -45,9 +45,9 @@ class ClassView:
     """An operator's per-vertex quantities, read on classes: contiguous id
     ranges inside one level on which they are constant. The reductions
     below read only this view. A vertex operator is the case where class
-    ``i`` is vertex ``i``. A subclass provides ``p``, ``profile`` (with
-    ``preimage_count`` per class, ``injective``, ``max_multiplicity`` and
-    ``surjective_on_truncation``) and:
+    ``i`` is vertex ``i``. A subclass provides ``p``, ``profile`` (a ``MapProfile``
+    or ``LevelClasses``: both derive ``injective``, ``max_multiplicity`` and
+    ``surjective_on_truncation`` from ``preimage_count``, per class) and:
 
     - ``_h``: h(u) = w(preimage(u)) / w(u) on each class;
     - ``_h_first``: the first vertex of each class, or None;

@@ -12,7 +12,7 @@ import math
 import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Mapping, NamedTuple
+from typing import Mapping
 
 import numpy as np
 
@@ -65,8 +65,25 @@ class SelfMap:
         return slice(None) if self.is_total else self._domain
 
 
+class _Multiplicity:
+    """A symbol's multiplicity facts, all read from ``preimage_count``: the
+    number of domain vertices sent to each vertex, or to each vertex of a class."""
+
+    @property
+    def max_multiplicity(self) -> int:
+        return int(self.preimage_count.max())
+
+    @property
+    def injective(self) -> bool:
+        return self.max_multiplicity <= 1
+
+    @property
+    def surjective_on_truncation(self) -> bool:
+        return bool(self.preimage_count.min() > 0)
+
+
 @dataclass(frozen=True, eq=False)
-class MapProfile:
+class MapProfile(_Multiplicity):
     """Structural facts about a symbol, by full enumeration.
 
     ``preimage_count[u]`` is the number of domain vertices the symbol sends
@@ -74,9 +91,6 @@ class MapProfile:
     ascending. Both arrays are read-only.
     """
 
-    injective: bool
-    max_multiplicity: int
-    surjective_on_truncation: bool
     fixed_points: np.ndarray
     preimage_count: np.ndarray
 
@@ -88,17 +102,11 @@ def analyze(symbol: SelfMap) -> MapProfile:
     fixed = dom[img == dom]
     counts.setflags(write=False)
     fixed.setflags(write=False)
-    max_mult = int(counts.max())
-    return MapProfile(
-        injective=max_mult <= 1,
-        max_multiplicity=max_mult,
-        surjective_on_truncation=bool((counts > 0).all()),
-        fixed_points=fixed,
-        preimage_count=counts,
-    )
+    return MapProfile(fixed_points=fixed, preimage_count=counts)
 
 
-class LevelClasses(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class LevelClasses(_Multiplicity):
     """Structural facts about a builtin symbol on a generated b-ary tree, by
     level classes: contiguous id ranges inside one level whose vertices have
     the same number of preimages. The preimage of the first vertex of a
@@ -114,18 +122,6 @@ class LevelClasses(NamedTuple):
     preimage_count: np.ndarray  # preimage count of each vertex of the class
     source_lo: np.ndarray  # the first level of those preimages
     source_hi: np.ndarray  # one past their last level; source_lo when there are none
-
-    @property
-    def max_multiplicity(self) -> int:
-        return int(self.preimage_count.max())
-
-    @property
-    def injective(self) -> bool:
-        return self.max_multiplicity <= 1
-
-    @property
-    def surjective_on_truncation(self) -> bool:
-        return bool(self.preimage_count.min() > 0)
 
 
 def level_classes(lift: int | None, level_start: np.ndarray) -> LevelClasses:

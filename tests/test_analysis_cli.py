@@ -229,8 +229,78 @@ def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
         "passed": False,
     })
     assert main(["verify"]) == 1
+    assert capsys.readouterr().out.splitlines()[:3] == [
+        "suite norms: 1 cases, 1 violations", "FAIL", "{"]
+
+    monkeypatch.undo()
+    assert main(["verify", "--suite", "norms"]) == 0
     out = capsys.readouterr().out
-    assert "FAIL" in out
+    assert out.splitlines()[:3] == ["suite norms: 64 cases, 0 violations", "PASS", "{"]
+    assert json.loads(out.split("\n", 2)[2])["passed"] is True
+
+
+_OUT_HELP = "--out OUT write the JSON report here instead of stdout"
+_HELP = {  # each command's usage line, then every argument with its help string
+    (): ("usage: spectree [-h] {analyze,spectrum,verify,adversary} ...",
+         ["Composition-operator analysis on weighted L^p spaces of finite rooted-tree truncations",
+          "-h, --help show this help message and exit",
+          "analyze boundedness, isometry and compactness report",
+          "spectrum singular values, Schatten sums, trace",
+          "verify run the seeded property suites",
+          "adversary construct weight-spread witness symbols"]),
+    ("analyze",): ("usage: spectree analyze [-h] [--out OUT] spec",
+                   ["spec path to the experiment JSON document", _OUT_HELP]),
+    ("spectrum",): ("usage: spectree spectrum [-h] [--csv CSV] [--out OUT] spec",
+                    ["spec path to the experiment JSON document (p must be 2)",
+                     "--csv CSV write the deepest-entry spectrum as CSV", _OUT_HELP]),
+    ("verify",): ("usage: spectree verify [-h] [--suite {adversary,compactness,isometry,lpspace,"
+                  "norms,schatten}] [--seed SEED] [--out OUT]",
+                  ["--suite {adversary,compactness,isometry,lpspace,norms,schatten} "
+                   "restrict to one suite (repeatable) --seed SEED " + _OUT_HELP]),
+    ("adversary",): ("usage: spectree adversary [-h] [--out OUT] spec",
+                     ["spec path to the experiment JSON document", _OUT_HELP]),
+}
+
+
+@pytest.mark.parametrize("command", list(_HELP), ids=lambda c: " ".join(c) or "spectree")
+def test_help_shows_the_usage_and_every_argument(capsys, command):
+    usage, arguments = _HELP[command]
+    with pytest.raises(SystemExit) as done:
+        main([*command, "--help"])
+    assert done.value.code == 0
+    out = " ".join(capsys.readouterr().out.split())  # argparse wraps to the terminal width
+    assert out.startswith(usage + " ")
+    for argument in arguments:
+        assert argument in out
+
+
+def test_usage_errors_exit_2_with_the_usage_line(capsys):
+    for argv, prog, message in [
+            ([], "spectree", "the following arguments are required: command"),
+            (["bogus"], "spectree", "argument command: invalid choice: 'bogus'"),
+            (["analyze"], "spectree analyze", "the following arguments are required: spec"),
+            (["verify", "--suite", "nope"], "spectree verify", "argument --suite: invalid choice: 'nope'")]:
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: {prog} [-h]") and f"\n{prog}: error: {message}" in err
+
+
+def test_spectrum_prints_its_summary_then_where_it_wrote(tmp_path, capsys):
+    spec, csv, out = write_spec(tmp_path, base_doc()), tmp_path / "s.csv", tmp_path / "r.json"
+    assert main(["spectrum", spec, "--csv", str(csv), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "depth 4: hs_norm=3.1091263510296, trace=3 (fixed points: 3), oracle ok",
+        "depth 9: hs_norm=5.44671154612273, trace=3 (fixed points: 3), "
+        "skipped: 1023 vertices exceed the dense-oracle cap 600",
+        "Schatten sum trend (q=1): diverging",
+        "Schatten sum trend (q=2): diverging",
+        f"spectrum CSV written to {csv}",
+        f"report written to {out}",
+    ]
+    assert json.loads(out.read_text(encoding="utf-8"))["command"] == "spectrum"
+    assert csv.read_text(encoding="utf-8").startswith("rank,sigma_analytic\n")
 
 
 def test_analyze_refuses_an_oversized_generated_tree(tmp_path, capsys):
@@ -374,6 +444,7 @@ def test_tables_naming_unknown_vertices_are_rejected(tmp_path, capsys):
     ('{"p": NaN}', "NaN is not a JSON number"),
     ('{"p": 2, "seed": -Infinity}', "-Infinity is not a JSON number"),
     ('{"p": 2, "depth_ladder": [1], "p": 3}', "duplicate key 'p'"),
+    ('{"a": 1, "b": 2, "b": 3, "a": 4}', "duplicate key 'a'"),  # the first key that repeats
 ])
 def test_json_documents_are_parsed_strictly(tmp_path, text, message):
     (tmp_path / "spec.json").write_text(text, encoding="utf-8")
@@ -386,6 +457,16 @@ def test_json_documents_are_parsed_strictly(tmp_path, text, message):
     assert main(["analyze", path]) == 2
     with pytest.raises(DocumentError, match=message):
         run_analyze(read_analysis_spec(path))
+
+
+def test_duplicate_keys_are_found_in_linear_time(tmp_path):
+    keys = [f"v{i}" for i in range(200_000)]
+    text = json.dumps({"weights": dict.fromkeys(keys, 1.0)})
+    (tmp_path / "weight.json").write_text(text[:-2] + f', "{keys[-1]}": 2.0}}}}', encoding="utf-8")
+    started = time.perf_counter()
+    with pytest.raises(DocumentError, match=f"duplicate key '{keys[-1]}'"):
+        analysis.read_json(tmp_path / "weight.json")
+    assert time.perf_counter() - started < 1.0  # a count per key took 27 s at 40,000 keys
 
 
 @pytest.mark.parametrize("tolerances", [
